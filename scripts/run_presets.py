@@ -36,7 +36,7 @@ def main():
         model = p.model()
         vrep = validate(model, w, grid)
         mesh = synthesize(model, w, grid, p.f0, report=vrep)
-        gap = path_independence(model, w, grid, p.f0)
+        gap = path_independence(model, w, mesh)
         err = reference_error(p, mesh)
         rep = verify_mesh(model, mesh, w)
         secs = time.perf_counter() - t0

@@ -133,10 +133,6 @@ class Scalar:
         )
 
 
-def scalar(re: float, im: float = 0.0, kind: Kind = Kind.PARA) -> Scalar:
-    return Scalar(re, im, kind)
-
-
 def one(kind: Kind) -> Scalar:
     return Scalar(1.0, 0.0, kind)
 
@@ -157,14 +153,6 @@ def conj(s: Scalar) -> Scalar:
 def modulus_sq(s: Scalar) -> float:
     """re^2 - sigma*im^2: the (indefinite, for para) squared norm s*conj(s)."""
     return s.re * s.re - s.kind.sigma * s.im * s.im
-
-
-def real_part(s: Scalar) -> float:
-    return s.re
-
-
-def imag_part(s: Scalar) -> float:
-    return s.im
 
 
 def is_zero_divisor(s: Scalar) -> bool:

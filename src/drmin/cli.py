@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import expr
@@ -135,12 +136,13 @@ def load_config(path) -> RunConfig:
                    getf("initial", "z"), getf("initial", "t"))
     else:
         f0 = Point(0.0, 0.0, 0.0, 0.0)
-    defaults = ValidationTolerances()
-    tol = ValidationTolerances(
-        harmonicity=getf("tolerances", "harmonicity", defaults.harmonicity) if "tolerances" in cp else defaults.harmonicity,
-        conformality=getf("tolerances", "conformality", defaults.conformality) if "tolerances" in cp else defaults.conformality,
-        immersion_floor=getf("tolerances", "immersion_floor", defaults.immersion_floor) if "tolerances" in cp else defaults.immersion_floor,
-    )
+    tol = ValidationTolerances()
+    if "tolerances" in cp:
+        for key in (f.name for f in fields(tol)):
+            val = getf("tolerances", key, getattr(tol, key))
+            if not (math.isfinite(val) and val > 0.0):
+                raise ConfigError(f"tolerance {key!r} must be finite and positive, got {val!r}")
+            tol = replace(tol, **{key: val})
     out_dir = Path(cp["output"]["directory"]) if "output" in cp and "directory" in cp["output"] else Path(".")
     return RunConfig(
         space=space, c=getf("space", "c", 1.0), algebra=algebra_kind, grid=grid,
@@ -208,7 +210,7 @@ def cmd_synthesize(args) -> int:
             print(f"  - {reason}")
     try:
         mesh = synthesize(model, w, cfg.grid, cfg.f0, report=report, force=True)
-        gap = path_independence(model, w, cfg.grid, cfg.f0)
+        gap = path_independence(model, w, mesh)
     except StepFailureError as exc:
         print(f"numerical failure: {exc}")
         return EXIT_NUMERICAL_FAILURE

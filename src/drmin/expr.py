@@ -315,10 +315,14 @@ _CALL_EVAL = {
 
 
 def evaluate(e: Expr, u: float, v: float, kind: Kind) -> Scalar:
-    """Evaluate the tree at the real point (u, v)."""
+    """Evaluate the tree at the real point (u, v).
+
+    Algebra failures and float overflow (exp, sinh, cosh of a large
+    argument) raise EvalError.
+    """
     try:
         return _eval(e, u, v, kind)
-    except AlgebraError as exc:
+    except (AlgebraError, OverflowError) as exc:
         raise EvalError("evaluation failed", exc, _first_pos(e)) from exc
 
 
@@ -360,7 +364,7 @@ def _eval(e: Expr, u: float, v: float, kind: Kind) -> Scalar:
     if isinstance(e, Call):
         try:
             return _CALL_EVAL[e.fn](_eval(e.a, u, v, kind))
-        except AlgebraError as exc:
+        except (AlgebraError, OverflowError) as exc:
             raise EvalError(f"{e.fn} failed", exc, e.pos) from exc
     raise TypeError(type(e))
 
@@ -428,12 +432,6 @@ def wirtinger_bar(e: Expr) -> Expr:
     package, in both algebras.
     """
     return Mul(Const(0.5), Sub(diff(e, "u"), Mul(Unit(), diff(e, "v"))))
-
-
-@functools.lru_cache(maxsize=None)
-def wirtinger(e: Expr) -> Expr:
-    """The holomorphic Wirtinger operator (d/du + unit*d/dv)/2."""
-    return Mul(Const(0.5), Add(diff(e, "u"), Mul(Unit(), diff(e, "v"))))
 
 
 # -- Weierstrass data ----------------------------------------------------

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import exp
 
 import numpy as np
-
-from .algebra import Kind
 
 
 class SpaceKind(Enum):
@@ -38,9 +35,8 @@ class Point:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.t], dtype=float)
 
-    @classmethod
-    def from_array(cls, a) -> "Point":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+    def __array__(self, dtype=None, copy=None):
+        return self.as_array() if dtype is None else self.as_array().astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -59,48 +55,44 @@ class SpaceModel:
             return (1, 1, 1, -1)
         return (1, 1, -1, 1)
 
-    @staticmethod
-    def algebra_for(character: str) -> Kind:
-        """Complex data builds spacelike surfaces, para builds timelike."""
-        if character == "spacelike":
-            return Kind.COMPLEX
-        if character == "timelike":
-            return Kind.PARA
-        raise ValueError(character)
 
-
-def metric_at(s: SpaceModel, p: Point) -> np.ndarray:
-    """Coordinate metric tensor as a symmetric 4x4 matrix in (x,y,z,t)."""
+def metric_at(s: SpaceModel, p) -> np.ndarray:
+    """Coordinate metric tensor in (x,y,z,t): shape (..., 4, 4) for points (..., 4)."""
+    p = np.asarray(p, dtype=float)
     c = s.c
-    et = exp(-p.t)
-    e2t = exp(-2.0 * p.t)
+    et = np.exp(-p[..., 3])
+    e2t = np.exp(-2.0 * p[..., 3])
     # the squared 1-form dz + a*dx + b*dy
-    a = 0.5 * c * p.y
-    b = -0.5 * c * p.x
+    a = 0.5 * c * p[..., 1]
+    b = -0.5 * c * p[..., 0]
     s3 = 1.0 if s.kind is SpaceKind.FIRST else -1.0
     s4 = -1.0 if s.kind is SpaceKind.FIRST else 1.0
-    g = np.zeros((4, 4))
-    g[0, 0] = et + s3 * e2t * a * a
-    g[1, 1] = et + s3 * e2t * b * b
-    g[2, 2] = s3 * e2t
-    g[3, 3] = s4
-    g[0, 1] = g[1, 0] = s3 * e2t * a * b
-    g[0, 2] = g[2, 0] = s3 * e2t * a
-    g[1, 2] = g[2, 1] = s3 * e2t * b
+    g = np.zeros(p.shape[:-1] + (4, 4))
+    g[..., 0, 0] = et + s3 * e2t * a * a
+    g[..., 1, 1] = et + s3 * e2t * b * b
+    g[..., 2, 2] = s3 * e2t
+    g[..., 3, 3] = s4
+    g[..., 0, 1] = g[..., 1, 0] = s3 * e2t * a * b
+    g[..., 0, 2] = g[..., 2, 0] = s3 * e2t * a
+    g[..., 1, 2] = g[..., 2, 1] = s3 * e2t * b
     return g
 
 
-def frame_matrix(s: SpaceModel, p: Point) -> np.ndarray:
-    """Columns are the coordinate components of the frame e1..e4 at p."""
+def frame_matrix(s: SpaceModel, p) -> np.ndarray:
+    """Columns are the coordinate components of the frame e1..e4 at p.
+
+    Points of shape (..., 4) give matrices of shape (..., 4, 4).
+    """
+    p = np.asarray(p, dtype=float)
     c = s.c
-    eh = exp(0.5 * p.t)
-    A = np.zeros((4, 4))
-    A[0, 0] = eh
-    A[1, 1] = eh
-    A[2, 0] = -0.5 * c * eh * p.y
-    A[2, 1] = 0.5 * c * eh * p.x
-    A[2, 2] = exp(p.t)
-    A[3, 3] = 1.0
+    eh = np.exp(0.5 * p[..., 3])
+    A = np.zeros(p.shape[:-1] + (4, 4))
+    A[..., 0, 0] = eh
+    A[..., 1, 1] = eh
+    A[..., 2, 0] = -0.5 * c * eh * p[..., 1]
+    A[..., 2, 1] = 0.5 * c * eh * p[..., 0]
+    A[..., 2, 2] = np.exp(p[..., 3])
+    A[..., 3, 3] = 1.0
     return A
 
 
@@ -140,27 +132,26 @@ def lie_bracket_frame(s: SpaceModel, i: int, j: int) -> np.ndarray:
     return frame_connection(s, i, j) - frame_connection(s, j, i)
 
 
-def _fd_step(p: Point) -> float:
-    return 1e-5 * (1.0 + abs(p.t))
+def _fd_step(p: np.ndarray) -> np.ndarray:
+    return 1e-5 * (1.0 + np.abs(p[..., 3]))
 
 
-def metric_gradient_at(s: SpaceModel, p: Point, h: float | None = None) -> np.ndarray:
-    """Central-difference coordinate gradient dg[a, i, j] = d_a g_ij."""
-    if h is None:
-        h = _fd_step(p)
-    base = p.as_array()
-    dg = np.zeros((4, 4, 4))
+def metric_gradient_at(s: SpaceModel, p, h: float | None = None) -> np.ndarray:
+    """Central-difference coordinate gradient dg[..., a, i, j] = d_a g_ij."""
+    p = np.asarray(p, dtype=float)
+    h = _fd_step(p) if h is None else np.broadcast_to(float(h), p.shape[:-1])
+    dg = np.zeros(p.shape[:-1] + (4, 4, 4))
     for a in range(4):
-        plus = base.copy()
-        plus[a] += h
-        minus = base.copy()
-        minus[a] -= h
-        dg[a] = (metric_at(s, Point.from_array(plus)) - metric_at(s, Point.from_array(minus))) / (2.0 * h)
+        plus = p.copy()
+        plus[..., a] += h
+        minus = p.copy()
+        minus[..., a] -= h
+        dg[..., a, :, :] = (metric_at(s, plus) - metric_at(s, minus)) / (2.0 * h)[..., None, None]
     return dg
 
 
-def christoffel_at(s: SpaceModel, p: Point, h: float | None = None) -> np.ndarray:
-    """Christoffel symbols Gamma[i, j, l] from the metric alone.
+def christoffel_at(s: SpaceModel, p, h: float | None = None) -> np.ndarray:
+    """Christoffel symbols Gamma[..., i, j, l] from the metric alone.
 
     Koszul formula with central-difference metric derivatives; this is
     the oracle route, independent of the frame tables.
@@ -169,8 +160,8 @@ def christoffel_at(s: SpaceModel, p: Point, h: float | None = None) -> np.ndarra
     ginv = np.linalg.inv(g)
     dg = metric_gradient_at(s, p, h)
     # Gamma^i_{jl} = (1/2) g^{im} (d_j g_ml + d_l g_mj - d_m g_jl)
-    term = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("im,mjl->ijl", ginv, term)
+    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)
 
 
 def frame_connection_via_christoffel(
@@ -182,11 +173,11 @@ def frame_connection_via_christoffel(
     derivatives of the frame matrix, then changes back to the frame.
     Serves as the independent cross-check of frame_connection.
     """
+    base = np.asarray(p, dtype=float)
     if h is None:
-        h = _fd_step(p)
-    A = frame_matrix(s, p)
+        h = float(_fd_step(base))
+    A = frame_matrix(s, base)
     ei = A[:, i - 1]
-    base = p.as_array()
     # directional derivative of the column e_j along e_i
     dcol = np.zeros(4)
     for a in range(4):
@@ -196,9 +187,9 @@ def frame_connection_via_christoffel(
         plus[a] += h
         minus = base.copy()
         minus[a] -= h
-        dA = (frame_matrix(s, Point.from_array(plus)) - frame_matrix(s, Point.from_array(minus))) / (2.0 * h)
+        dA = (frame_matrix(s, plus) - frame_matrix(s, minus)) / (2.0 * h)
         dcol = dcol + ei[a] * dA[:, j - 1]
-    gamma = christoffel_at(s, p, h)
+    gamma = christoffel_at(s, base, h)
     ej = A[:, j - 1]
     cov = dcol + np.einsum("ijl,j,l->i", gamma, ei, ej)
     return np.linalg.solve(A, cov)

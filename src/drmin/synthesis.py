@@ -4,9 +4,10 @@ The coordinate tangents are f_u = 2 Re(A(f) psi), f_v = 2 Im(A(f) psi),
 where A is the frame matrix evaluated along the (unknown) surface itself,
 so each grid line is an ODE in the four coordinates.  The mesh is built
 by classic RK4 marching: first along the u-row through the base point,
-then along every v-column.  Re-marching in the transposed order gives an
-independent integrability check: for genuine solutions the two meshes
-agree to integrator accuracy, for corrupted data they visibly diverge.
+then along all v-columns at once, as one stacked state.  Re-marching in
+the transposed order gives an independent integrability check: for
+genuine solutions the two meshes agree to integrator accuracy, for
+corrupted data they visibly diverge.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ class SurfaceMesh:
     def causal_character(self) -> str:
         """Expected character from the algebra driving the data."""
         return "spacelike" if self.kind is Kind.COMPLEX else "timelike"
+
+    @property
+    def spacing(self) -> tuple[float, float]:
+        g = self.grid
+        return (g.u_max - g.u_min) / (g.nu - 1), (g.v_max - g.v_min) / (g.nv - 1)
+
+    def tangents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Finite-difference (f_u, f_v), each (nu, nv, 4).
+
+        Central differences in the interior, one-sided on the boundary.
+        """
+        fu, fv = np.gradient(self.nodes, *self.spacing, axis=(0, 1))
+        return fu, fv
 
     def to_csv(self, path) -> None:
         g = self.grid
@@ -129,45 +143,27 @@ class SurfaceMesh:
 
 
 def tangent_field(
-    s: SpaceModel, w: WeierstrassData, p: Point, u: float, v: float
+    s: SpaceModel, w: WeierstrassData, p, u, v
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate tangents (f_u, f_v) at parameter (u, v) and position p."""
-    psi = w.eval_components(u, v)
-    A = frame_matrix(s, p)
-    fu = np.zeros(4)
-    fv = np.zeros(4)
-    for i in range(4):
-        re = im = 0.0
-        for j in range(4):
-            a = A[i, j]
-            if a != 0.0:
-                re += a * psi[j].re
-                im += a * psi[j].im
-        fu[i] = 2.0 * re
-        fv[i] = 2.0 * im
-    return fu, fv
+    """Coordinate tangents (f_u, f_v) at parameters (u, v) and positions p.
 
-
-def _rk4_path(s, w, f0, fixed, coords, direction):
-    """March RK4 along one grid line.
-
-    direction 'u': states evolve in u with v = fixed; 'v' the transpose.
-    coords is the increasing-or-decreasing sequence of parameter values,
-    starting at the value where f0 sits.  Yields states at every coord.
+    p has shape (..., 4); u and v broadcast against its leading shape.
     """
+    p = np.asarray(p, dtype=float)
+    shape = p.shape[:-1]
+    uu, vv = np.broadcast_to(u, shape), np.broadcast_to(v, shape)
+    psi = np.empty(shape + (4, 2))  # columns: re, im
+    for n in np.ndindex(shape):
+        psi[n] = [(c.re, c.im) for c in w.eval_components(float(uu[n]), float(vv[n]))]
+    f = 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
+    return f[..., 0], f[..., 1]
 
-    def rhs(state, s_par):
-        p = Point.from_array(state)
-        if direction == "u":
-            fu, _ = tangent_field(s, w, p, s_par, fixed)
-            return fu
-        _, fv = tangent_field(s, w, p, fixed, s_par)
-        return fv
 
-    states = [np.asarray(f0, dtype=float)]
+def _rk4(rhs, y, coords, name: str) -> np.ndarray:
+    """RK4 states at every value of coords, starting from y at coords[0]."""
+    states = [y]
     for a, b in zip(coords[:-1], coords[1:]):
         h = b - a
-        y = states[-1]
         try:
             k1 = rhs(y, a)
             k2 = rhs(y + 0.5 * h * k1, a + 0.5 * h)
@@ -175,55 +171,40 @@ def _rk4_path(s, w, f0, fixed, coords, direction):
             k4 = rhs(y + h * k3, b)
         except EvalError as exc:
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
-        y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_next)):
-            raise StepFailureError(
-                f"non-finite state at {direction} = {b!r} (fixed = {fixed!r})"
-            )
-        states.append(y_next)
-    return states
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise StepFailureError(f"non-finite state at {name} = {b!r}")
+        states.append(y)
+    return np.stack(states)
 
 
-def _march(s, w, grid: DomainGrid, f0: Point, transposed: bool) -> np.ndarray:
-    u_nodes = grid.u_nodes
-    v_nodes = grid.v_nodes
-    i0, j0 = grid.base_index
-    nodes = np.zeros((grid.nu, grid.nv, 4))
-    start = f0.as_array()
+def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
+    """(nu, nv, 4) mesh marched out from f0 at the base node.
 
-    def line(direction, fixed, coords, state0):
-        return _rk4_path(s, w, state0, fixed, coords, direction)
+    The base line runs along u (along v if transposed) through the base
+    node; then every line crossing it is marched as one stacked state.
+    """
+    nodes = (grid.u_nodes, grid.v_nodes)
+    base = grid.base_index
+    first = 1 if transposed else 0  # the axis the base line runs along
+    second = 1 - first
 
-    if not transposed:
-        # base row in u through (i0, j0), then each v-column
-        right = line("u", float(v_nodes[j0]), u_nodes[i0:], start)
-        left = line("u", float(v_nodes[j0]), u_nodes[i0::-1], start)
-        for k, st in enumerate(right):
-            nodes[i0 + k, j0] = st
-        for k, st in enumerate(left):
-            nodes[i0 - k, j0] = st
-        for i in range(grid.nu):
-            up = line("v", float(u_nodes[i]), v_nodes[j0:], nodes[i, j0])
-            down = line("v", float(u_nodes[i]), v_nodes[j0::-1], nodes[i, j0])
-            for k, st in enumerate(up):
-                nodes[i, j0 + k] = st
-            for k, st in enumerate(down):
-                nodes[i, j0 - k] = st
-    else:
-        up = line("v", float(u_nodes[i0]), v_nodes[j0:], start)
-        down = line("v", float(u_nodes[i0]), v_nodes[j0::-1], start)
-        for k, st in enumerate(up):
-            nodes[i0, j0 + k] = st
-        for k, st in enumerate(down):
-            nodes[i0, j0 - k] = st
-        for j in range(grid.nv):
-            right = line("u", float(v_nodes[j]), u_nodes[i0:], nodes[i0, j])
-            left = line("u", float(v_nodes[j]), u_nodes[i0::-1], nodes[i0, j])
-            for k, st in enumerate(right):
-                nodes[i0 + k, j] = st
-            for k, st in enumerate(left):
-                nodes[i0 - k, j] = st
-    return nodes
+    def sweep(state, axis, fixed):
+        # march out both ways from the base node along the given axis,
+        # with the other parameter held at fixed (a scalar or one per line)
+        def rhs(y, x):
+            uv = (x, fixed) if axis == 0 else (fixed, x)
+            return tangent_field(s, w, y, *uv)[axis]
+
+        coords, k = nodes[axis], base[axis]
+        name = "uv"[axis]
+        ahead = _rk4(rhs, state, coords[k:], name)
+        behind = _rk4(rhs, state, coords[k::-1], name)
+        return np.concatenate([behind[:0:-1], ahead])
+
+    line = sweep(np.asarray(f0, dtype=float), first, nodes[second][base[second]])
+    sheet = sweep(line, second, nodes[first])
+    return sheet if transposed else sheet.swapaxes(0, 1)
 
 
 def synthesize(
@@ -257,38 +238,24 @@ def synthesize(
     )
 
 
-def path_independence(
-    s: SpaceModel,
-    w: WeierstrassData,
-    grid: DomainGrid,
-    f0: Point | None = None,
-    force: bool = True,
-) -> float:
-    """Max node-wise coordinate gap between the two marching orders.
+def path_independence(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMesh) -> float:
+    """Max node-wise coordinate gap between the mesh and the transposed march.
 
-    Small values certify that the first-order system is integrable, i.e.
-    that the mesh does not depend on the integration path.  Defaults to
-    force=True since it is itself a diagnostic.
+    The transposed march starts from the mesh's base node.  Small values
+    certify that the first-order system is integrable, i.e. that the mesh
+    does not depend on the integration path.
     """
-    f0 = f0 or Point(0.0, 0.0, 0.0, 0.0)
-    a = _march(s, w, grid, f0, transposed=False)
-    b = _march(s, w, grid, f0, transposed=True)
-    return float(np.abs(a - b).max())
+    i0, j0 = mesh.grid.base_index
+    other = _march(s, w, mesh.grid, mesh.nodes[i0, j0], transposed=True)
+    return float(np.abs(mesh.nodes - other).max())
 
 
 def mesh_tangent_consistency(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMesh) -> float:
-    """Sup gap between central-difference mesh tangents and tangent_field."""
+    """Interior sup gap between central-difference mesh tangents and tangent_field."""
     g = mesh.grid
-    u_nodes, v_nodes = g.u_nodes, g.v_nodes
-    du = u_nodes[1] - u_nodes[0]
-    dv = v_nodes[1] - v_nodes[0]
-    worst = 0.0
-    for i in range(1, g.nu - 1):
-        for j in range(1, g.nv - 1):
-            fu_fd = (mesh.nodes[i + 1, j] - mesh.nodes[i - 1, j]) / (2.0 * du)
-            fv_fd = (mesh.nodes[i, j + 1] - mesh.nodes[i, j - 1]) / (2.0 * dv)
-            fu, fv = tangent_field(
-                s, w, Point.from_array(mesh.nodes[i, j]), float(u_nodes[i]), float(v_nodes[j])
-            )
-            worst = max(worst, float(np.abs(fu_fd - fu).max()), float(np.abs(fv_fd - fv).max()))
-    return worst
+    inner = (slice(1, -1), slice(1, -1))
+    fu, fv = tangent_field(
+        s, w, mesh.nodes[inner], g.u_nodes[1:-1, None], g.v_nodes[None, 1:-1]
+    )
+    fu_fd, fv_fd = mesh.tangents()
+    return float(np.maximum(np.abs(fu_fd[inner] - fu).max(), np.abs(fv_fd[inner] - fv).max()))

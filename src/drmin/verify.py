@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Kind
 from .expr import WeierstrassData
-from .spaces import Point, SpaceModel, christoffel_at, metric_at
+from .spaces import SpaceModel, christoffel_at, metric_at
 from .synthesis import SurfaceMesh
 from .weierstrass import condition_i
 
@@ -26,39 +26,22 @@ DEGENERACY_BAND_SCALE = 1e-10
 
 @dataclass(frozen=True)
 class PullbackSample:
-    """First fundamental form entries at one node."""
+    """First fundamental form entries at one node, or arrays of them."""
 
     E: float
     F: float
     G: float
 
 
-def causal_character(p: PullbackSample, band_scale: float = DEGENERACY_BAND_SCALE) -> str:
+def causal_character(p: PullbackSample, band_scale: float = DEGENERACY_BAND_SCALE):
+    """'spacelike', 'timelike' or 'degenerate'; E, F, G may be arrays.
+
+    Array samples give an object array of labels of the same shape.
+    """
     det = p.E * p.G - p.F * p.F
     band = band_scale * (1.0 + p.E * p.E + p.G * p.G)
-    if abs(det) <= band:
-        return "degenerate"
-    return "timelike" if det < 0.0 else "spacelike"
-
-
-def _fd_tangents(mesh: SurfaceMesh, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    g = mesh.grid
-    du = (g.u_max - g.u_min) / (g.nu - 1)
-    dv = (g.v_max - g.v_min) / (g.nv - 1)
-    n = mesh.nodes
-    if i == 0:
-        fu = (n[1, j] - n[0, j]) / du
-    elif i == g.nu - 1:
-        fu = (n[i, j] - n[i - 1, j]) / du
-    else:
-        fu = (n[i + 1, j] - n[i - 1, j]) / (2.0 * du)
-    if j == 0:
-        fv = (n[i, 1] - n[i, 0]) / dv
-    elif j == g.nv - 1:
-        fv = (n[i, j] - n[i, j - 1]) / dv
-    else:
-        fv = (n[i, j + 1] - n[i, j - 1]) / (2.0 * dv)
-    return fu, fv
+    out = np.where(np.abs(det) <= band, "degenerate", np.where(det < 0.0, "timelike", "spacelike"))
+    return out.astype(object) if out.ndim else str(out)
 
 
 def pullback(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
@@ -66,16 +49,12 @@ def pullback(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
 
     Central differences in the interior, one-sided on the boundary.
     """
-    g = mesh.grid
-    out = np.zeros((g.nu, g.nv, 3))
-    for i in range(g.nu):
-        for j in range(g.nv):
-            fu, fv = _fd_tangents(mesh, i, j)
-            gm = metric_at(s, Point.from_array(mesh.nodes[i, j]))
-            out[i, j, 0] = fu @ gm @ fu
-            out[i, j, 1] = fu @ gm @ fv
-            out[i, j, 2] = fv @ gm @ fv
-    return out
+    fu, fv = mesh.tangents()
+    gm = metric_at(s, mesh.nodes)
+    return np.stack(
+        [np.einsum("...i,...ij,...j->...", a, gm, b) for a, b in ((fu, fu), (fu, fv), (fv, fv))],
+        axis=-1,
+    )
 
 
 def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
@@ -86,23 +65,21 @@ def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
     surfaces the hyperbolic one with minus signs on the v-terms.
     Vanishing tension is minimality for a conformal map.
     """
-    g = mesh.grid
-    du = (g.u_max - g.u_min) / (g.nu - 1)
-    dv = (g.v_max - g.v_min) / (g.nv - 1)
+    du, dv = mesh.spacing
     n = mesh.nodes
     sign = 1.0 if mesh.kind is Kind.COMPLEX else -1.0
-    out = np.full((g.nu, g.nv, 4), np.nan)
-    for i in range(1, g.nu - 1):
-        for j in range(1, g.nv - 1):
-            fuu = (n[i + 1, j] - 2.0 * n[i, j] + n[i - 1, j]) / (du * du)
-            fvv = (n[i, j + 1] - 2.0 * n[i, j] + n[i, j - 1]) / (dv * dv)
-            fu = (n[i + 1, j] - n[i - 1, j]) / (2.0 * du)
-            fv = (n[i, j + 1] - n[i, j - 1]) / (2.0 * dv)
-            gamma = christoffel_at(s, Point.from_array(n[i, j]))
-            quad = np.einsum("ijl,j,l->i", gamma, fu, fu) + sign * np.einsum(
-                "ijl,j,l->i", gamma, fv, fv
-            )
-            out[i, j] = fuu + sign * fvv + quad
+    mid = n[1:-1, 1:-1]
+    fuu = (n[2:, 1:-1] - 2.0 * mid + n[:-2, 1:-1]) / (du * du)
+    fvv = (n[1:-1, 2:] - 2.0 * mid + n[1:-1, :-2]) / (dv * dv)
+    fu, fv = (f[1:-1, 1:-1] for f in mesh.tangents())
+    quad = np.empty_like(mid)
+    for i, row in enumerate(mid):  # row by row keeps the Christoffel intermediates small
+        gamma = christoffel_at(s, row)
+        quad[i] = np.einsum("kijl,kj,kl->ki", gamma, fu[i], fu[i]) + sign * np.einsum(
+            "kijl,kj,kl->ki", gamma, fv[i], fv[i]
+        )
+    out = np.full(n.shape, np.nan)
+    out[1:-1, 1:-1] = fuu + sign * fvv + quad
     return out
 
 
@@ -132,7 +109,7 @@ class VerificationReport:
             diag = np.abs(E - G)
         else:
             diag = np.abs(E + G)
-        return float(max(np.abs(F).max(), diag.max()))
+        return float(np.maximum(np.abs(F).max(), diag.max()))
 
     @property
     def tension_sup(self) -> float:
@@ -155,16 +132,17 @@ class VerificationReport:
                 f"causal character {char!r} does not match the "
                 f"{self.mesh.kind.value}-algebra expectation {self.mesh.causal_character!r}"
             )
-        if self.conformality_defect > self.conformality_tol:
+        # written as "not <=" so that NaN fails
+        if not self.conformality_defect <= self.conformality_tol:
             out.append(
                 f"conformality defect {self.conformality_defect:.3e} exceeds "
                 f"{self.conformality_tol:.1e}"
             )
-        if self.tension_sup > self.tension_tol:
+        if not self.tension_sup <= self.tension_tol:
             out.append(
                 f"tension sup-norm {self.tension_sup:.3e} exceeds {self.tension_tol:.1e}"
             )
-        if self.density_gap is not None and self.density_gap > self.conformality_tol:
+        if self.density_gap is not None and not self.density_gap <= self.conformality_tol:
             out.append(
                 f"conformal density mismatch {self.density_gap:.3e} exceeds "
                 f"{self.conformality_tol:.1e}"
@@ -231,20 +209,15 @@ def verify_mesh(
     if mesh.space != s.name:
         raise ValueError(f"mesh was synthesized in {mesh.space}, not {s.name}")
     pb = pullback(s, mesh)
-    g = mesh.grid
-    chars = np.empty((g.nu, g.nv), dtype=object)
-    for i in range(g.nu):
-        for j in range(g.nv):
-            chars[i, j] = causal_character(PullbackSample(*pb[i, j]))
+    chars = causal_character(PullbackSample(*np.moveaxis(pb, -1, 0)))
     tension = tension_residual(s, mesh)
     density_gap = None
     if w is not None:
-        worst = 0.0
-        for i in range(1, g.nu - 1):
-            for j in range(1, g.nv - 1):
-                dens = condition_i(s, w, float(g.u_nodes[i]), float(g.v_nodes[j]))
-                worst = max(worst, abs(2.0 * dens - pb[i, j, 0]))
-        density_gap = worst
+        g = mesh.grid
+        dens = np.array(
+            [[condition_i(s, w, float(u), float(v)) for v in g.v_nodes[1:-1]] for u in g.u_nodes[1:-1]]
+        )
+        density_gap = float(np.abs(2.0 * dens - pb[1:-1, 1:-1, 0]).max())
     return VerificationReport(
         mesh=mesh,
         space=s.name,

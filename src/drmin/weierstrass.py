@@ -184,17 +184,18 @@ class ValidationReport:
         out = []
         if not self.all_nodes_ok:
             out.append(f"{int((~self.node_ok).sum())} nodes failed to evaluate")
-        if self.harmonicity_sup > self.tolerances.harmonicity:
+        # written as "not <=" so that NaN fails
+        if not self.harmonicity_sup <= self.tolerances.harmonicity:
             out.append(
                 f"harmonicity sup-norm {self.harmonicity_sup:.3e} exceeds "
                 f"{self.tolerances.harmonicity:.1e}"
             )
-        if self.conformality_sup > self.tolerances.conformality:
+        if not self.conformality_sup <= self.tolerances.conformality:
             out.append(
                 f"conformality sup-norm {self.conformality_sup:.3e} exceeds "
                 f"{self.tolerances.conformality:.1e}"
             )
-        if self.immersion_min < self.tolerances.immersion_floor:
+        if not self.immersion_min >= self.tolerances.immersion_floor:
             out.append(
                 f"degenerate (non-immersion): min |density| {self.immersion_min:.3e} "
                 f"below floor {self.tolerances.immersion_floor:.1e}"

@@ -5,6 +5,7 @@ import pytest
 from drmin.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MATH_FAILURE,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_PASS,
     ConfigError,
     config_from_preset,
@@ -135,6 +136,13 @@ class TestValidate:
     def test_missing_config_exit_two(self, capsys):
         assert main(["validate", "--config", "/nonexistent.ini"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-10"])
+    def test_bad_tolerance_exit_two(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(GOOD_INI + f"\n[tolerances]\nharmonicity = {value}\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_INPUT_ERROR
+        assert "harmonicity" in capsys.readouterr().out
+
 
 class TestSynthesize:
     def test_writes_mesh(self, good_config, tmp_path, capsys):
@@ -170,6 +178,15 @@ class TestSynthesize:
         assert code == EXIT_PASS
         assert "WARNING" in capsys.readouterr().out
         assert out.exists()
+
+    def test_overflow_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "big.ini"
+        path.write_text(GOOD_INI.replace("psi1 = tau/u", "psi1 = tau/u + exp(1000*u)"))
+        out = tmp_path / "m.csv"
+        code = main(["synthesize", "--config", str(path), "--force", "--out", str(out)])
+        assert code == EXIT_NUMERICAL_FAILURE
+        assert "numerical failure" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_bad_grid_spec(self, good_config, capsys):
         code = main(["synthesize", "--config", str(good_config), "--grid", "banana"])

@@ -93,6 +93,13 @@ class TestEval:
         with pytest.raises(EvalError):
             evaluate(e, 1.0, 1.0, Kind.PARA)  # zero divisor
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("fn", ["exp", "sinh", "cosh"])
+    def test_overflow_is_eval_error(self, kind, fn):
+        e = parse(f"{fn}(1000*u)", kind)
+        with pytest.raises(EvalError, match=f"{fn} failed"):
+            evaluate(e, 1.0, 0.0, kind)
+
 
 # random expression generator for round-trip and derivative oracles
 

@@ -181,3 +181,15 @@ class TestChristoffelOracle:
                         via = frame_connection_via_christoffel(s, p, i, j)
                         exact = frame_connection(s, i, j)
                         assert np.abs(via - exact).max() <= 1e-6
+
+
+class TestPointArrays:
+    def test_batched_equals_pointwise(self):
+        rng = random.Random(11)
+        pts = random_points(rng, 6)
+        batch = np.array([p.as_array() for p in pts]).reshape(2, 3, 4)
+        for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
+            for fn in (metric_at, frame_matrix, metric_gradient_at, christoffel_at):
+                got = fn(s, batch).reshape((6,) + fn(s, ORIGIN).shape)
+                for k, p in enumerate(pts):
+                    assert np.allclose(got[k], fn(s, p), rtol=1e-13, atol=1e-13), fn.__name__

@@ -52,6 +52,16 @@ class TestTangentField:
         assert np.allclose(fv, [0, 0, 1 / 2.0, 0])
 
 
+    def test_stacked_positions(self):
+        pts = np.array([[0.1, 2.0, 0.3, 0.2], [0.0, -1.0, 0.0, -0.4], [1.5, 0.5, 2.0, 0.0]])
+        us = np.array([1.0, 1.25, 1.75])
+        fu, fv = tangent_field(S41, AXIS_PARA, pts, us, 0.5)
+        assert fu.shape == fv.shape == (3, 4)
+        for k in range(3):
+            fu_k, fv_k = tangent_field(S41, AXIS_PARA, Point(*pts[k]), us[k], 0.5)
+            assert np.array_equal(fu[k], fu_k) and np.array_equal(fv[k], fv_k)
+
+
 class TestSynthesize:
     def test_base_node_is_exact(self):
         f0 = Point(0.3, -0.4, 0.2, 0.1)
@@ -112,20 +122,28 @@ class TestTranslationEquivariance:
         assert np.allclose(delta[:, :, 2], 5.0, atol=1e-9)
 
 
+def forward_gap(s, w, grid, f0):
+    return path_independence(s, w, synthesize(s, w, grid, f0, force=True))
+
+
 class TestPathIndependence:
     def test_solution_data_integrable(self):
-        gap = path_independence(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0))
+        gap = forward_gap(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0))
         assert gap <= 1e-7
 
     def test_corrupted_data_diverges(self):
         # scaling one component breaks conformality/harmonicity and the
         # two marching orders disagree by orders of magnitude more
-        good = path_independence(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0))
+        good = forward_gap(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0))
         corrupt = WeierstrassData.from_strings(
             ["tau/u", "0", "0", "1.1/u"], Kind.PARA
         )
-        bad = path_independence(S41, corrupt, SMALL, Point(0, 2, 0, 0))
+        bad = forward_gap(S41, corrupt, SMALL, Point(0, 2, 0, 0))
         assert bad >= 1e3 * max(good, 1e-12)
+
+    def test_starts_from_the_mesh_base_node(self):
+        gap = forward_gap(S41, AXIS_PARA, SMALL, Point(0.3, 2, 5.0, 0.1))
+        assert gap <= 1e-7
 
 
 class TestMeshTangentConsistency:

@@ -3,6 +3,7 @@ import pytest
 
 from drmin.algebra import Kind
 from drmin.expr import WeierstrassData
+from drmin.presets import PRESETS
 from drmin.spaces import Point, SpaceKind, SpaceModel
 from drmin.synthesis import synthesize
 from drmin.verify import (
@@ -157,3 +158,33 @@ class TestVerifyMesh:
         assert lines[0] == "u,v,E,F,G,char,tension_norm"
         assert len(lines) == 1 + 81
         assert "timelike" in lines[41]
+
+
+class TestNonFinite:
+    def test_nan_node_fails(self):
+        mesh = axis_mesh(17)
+        mesh.nodes[8, 8, 0] = np.nan
+        report = verify_mesh(S41, mesh, AXIS_PARA)
+        failures = report.failures()
+        assert not report.passed
+        assert any("conformality defect" in f for f in failures)
+        assert any("tension" in f for f in failures)
+        assert np.isnan(report.density_gap)
+        assert any("density" in f for f in failures)
+
+
+class TestIndependence:
+    def test_never_reaches_symbolic_derivatives_or_l_table(self, monkeypatch):
+        p = PRESETS["s41-timelike-basic"]
+        w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
+        mesh = synthesize(p.model(), w, p.grid.with_resolution(21, 21), p.f0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify reached a route it must stay independent of")
+
+        for target in ("drmin.expr.diff", "drmin.expr.wirtinger_bar",
+                       "drmin.spaces.l_table", "drmin.weierstrass.l_table"):
+            monkeypatch.setattr(target, forbidden)
+        report = verify_mesh(p.model(), mesh, w)
+        assert report.passed, report.failures()
+        assert report.density_gap is not None

@@ -5,6 +5,7 @@ import pytest
 
 from drmin.algebra import Kind, Scalar
 from drmin.expr import Add, Const, Mul, Unit, WeierstrassData
+from drmin.presets import PRESETS
 from drmin.spaces import SpaceKind, SpaceModel, l_table
 from drmin.weierstrass import (
     DomainGrid,
@@ -216,6 +217,27 @@ class TestValidate:
         assert not report.all_nodes_ok
         assert len(report.errors) == 11  # the whole u = 0 edge
         assert not report.passed
+
+    def test_overflow_masks_nodes(self):
+        p = PRESETS["s41-timelike-basic"]
+        texts = list(p.psi_texts)
+        texts[0] = f"{texts[0]} + exp(1000*u)"
+        w = WeierstrassData.from_strings(texts, p.algebra)
+        report = validate(p.model(), w, p.grid.with_resolution(9, 9))
+        assert not report.passed
+        assert not report.node_ok.any()  # exp(1000*u) overflows for every u in [1, 2]
+        assert "81 nodes failed to evaluate" in report.failures()
+        assert "exp failed" in report.errors[0][2]
+
+    def test_nan_residual_fails(self):
+        grid = DomainGrid(1, 2, -1, 1, 6, 6, 1, 0)
+        report = validate(S41, AXIS_PARA, grid)
+        assert report.passed
+        report.residual_re[2, 3, 3] = math.nan
+        report.cond_ii_im[1, 1] = math.nan
+        failures = report.failures()
+        assert any("harmonicity" in f for f in failures)
+        assert any("conformality" in f for f in failures)
 
     def test_csv_export(self, tmp_path):
         grid = DomainGrid(1, 2, -1, 1, 6, 6, 1, 0)
