@@ -5,6 +5,11 @@ The whole pipeline is generic over the algebra kind: the complex numbers
 numbers (unit tau, tau^2 = +1) drive timelike ones.  Paracomplex numbers
 have zero divisors on the lines re = +/- im, which the division and
 logarithm routines must refuse.
+
+`Scalar` is the per-node algebra.  The functions at the end of the module
+are its array twins: the same operations on (re, im) pairs of float
+arrays, term for term in the order `Scalar` uses, so that rounding,
+signed zeros, inf and NaN come out as they do node by node.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 ZERO_DIVISOR_RTOL = 1e-12
 
@@ -251,3 +258,68 @@ def cosh_scalar(s: Scalar) -> Scalar:
     if s.kind is Kind.COMPLEX:
         return _complex_lift(cmath.cosh, s)
     return _para_lift(math.cosh, s)
+
+
+# -- array twins ------------------------------------------------------------
+# A value is an (re, im) pair of float arrays.  None of these raise; the
+# failure masks they return are where the Scalar routine may raise, and
+# callers settle those nodes with the Scalar routine itself.
+
+
+def mul_arrays(a, b, sigma: float):
+    """a * b, associated as in Scalar.__mul__ (a real factor x is (x, 0.0))."""
+    return a[0] * b[0] + sigma * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def invert_arrays(a, kind: Kind):
+    """(1/a, mask of the nodes where invert raises)."""
+    re, im = a
+    fails = (re == 0.0) & (im == 0.0)
+    if kind is Kind.PARA:
+        band = ZERO_DIVISOR_RTOL * (1.0 + np.abs(re) + np.abs(im))
+        tiny = (np.abs(re) <= band) & (np.abs(im) <= band)
+        fails |= ~tiny & ((np.abs(re - im) <= band) | (np.abs(re + im) <= band))
+    m = re * re - kind.sigma * im * im
+    fails |= m == 0.0
+    return (re / m, -im / m), fails
+
+
+def _complex_array(a) -> np.ndarray:
+    # set the parts one by one: re + 1j*im would turn an imaginary -0.0
+    # into +0.0 and move ln across its branch cut
+    z = np.empty(np.shape(a[0]), dtype=complex)
+    z.real = a[0]
+    z.imag = a[1]
+    return z
+
+
+def _lift_arrays(fn):
+    # fn is a numpy ufunc, applied as in _complex_lift and _para_lift
+    def lifted(a, kind: Kind):
+        if kind is Kind.COMPLEX:
+            w = fn(_complex_array(a))
+            return w.real, w.imag
+        fp, fq = fn(a[0] + a[1]), fn(a[0] - a[1])
+        return 0.5 * (fp + fq), 0.5 * (fp - fq)
+
+    return lifted
+
+
+def _exp_arrays(a, kind: Kind):
+    if kind is Kind.COMPLEX:
+        w = np.exp(_complex_array(a))
+        return w.real, w.imag
+    ea = np.exp(a[0])
+    return ea * np.cosh(a[1]), ea * np.sinh(a[1])
+
+
+# Out of its domain each function gives inf or NaN here, where the Scalar
+# routine raises.
+CALL_ARRAYS = {
+    "exp": _exp_arrays,
+    "ln": _lift_arrays(np.log),
+    "sin": _lift_arrays(np.sin),
+    "cos": _lift_arrays(np.cos),
+    "sinh": _lift_arrays(np.sinh),
+    "cosh": _lift_arrays(np.cosh),
+}

@@ -246,7 +246,11 @@ def cmd_verify(args) -> int:
         )
         return EXIT_INPUT_ERROR
     w = cfg.weierstrass()
-    report = verify_mesh(cfg.model(), mesh, w)
+    try:
+        report = verify_mesh(cfg.model(), mesh, w)
+    except ValueError as exc:
+        print(f"cannot verify mesh: {exc}")
+        return EXIT_INPUT_ERROR
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / "verification.csv"
     report.to_csv(csv_path)

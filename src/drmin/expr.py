@@ -19,8 +19,11 @@ Grammar::
 from __future__ import annotations
 
 import functools
+import math
 import re as _re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import algebra
 from .algebra import AlgebraError, Kind, Scalar
@@ -317,35 +320,50 @@ _CALL_EVAL = {
 def evaluate(e: Expr, u: float, v: float, kind: Kind) -> Scalar:
     """Evaluate the tree at the real point (u, v).
 
-    Algebra failures and float overflow (exp, sinh, cosh of a large
-    argument) raise EvalError.
+    Algebra failures (poles, zero divisors, the ln domain) raise
+    EvalError, and so does a function call whose argument or value is
+    not finite (overflow in exp, sinh or cosh, sin of an overflowed
+    argument).  This per-node route is the reference that
+    evaluate_grid mirrors.
     """
-    try:
-        return _eval(e, u, v, kind)
-    except (AlgebraError, OverflowError) as exc:
-        raise EvalError("evaluation failed", exc, _first_pos(e)) from exc
-
-
-def _eval(e: Expr, u: float, v: float, kind: Kind) -> Scalar:
     if isinstance(e, Const):
         return Scalar(e.re, e.im, kind)
     if isinstance(e, Var):
         return Scalar(u if e.name == "u" else v, 0.0, kind)
     if isinstance(e, Unit):
         return Scalar(0.0, 1.0, kind)
+    return _apply(e, [evaluate(a, u, v, kind) for a in _operands(e)], kind)
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.a, e.b)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Neg, Conj, Call)):
+        return (e.a,)
+    raise TypeError(type(e))
+
+
+def _finite(s: Scalar) -> bool:
+    return math.isfinite(s.re) and math.isfinite(s.im)
+
+
+def _apply(e: Expr, args: list[Scalar], kind: Kind) -> Scalar:
+    """The operation of the inner node e on its evaluated operands."""
     if isinstance(e, Add):
-        return _eval(e.a, u, v, kind) + _eval(e.b, u, v, kind)
+        return args[0] + args[1]
     if isinstance(e, Sub):
-        return _eval(e.a, u, v, kind) - _eval(e.b, u, v, kind)
+        return args[0] - args[1]
     if isinstance(e, Mul):
-        return _eval(e.a, u, v, kind) * _eval(e.b, u, v, kind)
+        return args[0] * args[1]
     if isinstance(e, Div):
         try:
-            return _eval(e.a, u, v, kind) / _eval(e.b, u, v, kind)
+            return args[0] / args[1]
         except AlgebraError as exc:
             raise EvalError("division failed", exc, e.pos) from exc
     if isinstance(e, Pow):
-        base = _eval(e.base, u, v, kind)
+        base = args[0]
         n = e.n
         if n < 0:
             try:
@@ -358,19 +376,153 @@ def _eval(e: Expr, u: float, v: float, kind: Kind) -> Scalar:
             out = out * base
         return out
     if isinstance(e, Neg):
-        return -_eval(e.a, u, v, kind)
+        return -args[0]
     if isinstance(e, Conj):
-        return algebra.conj(_eval(e.a, u, v, kind))
+        return algebra.conj(args[0])
     if isinstance(e, Call):
+        if not _finite(args[0]):
+            raise EvalError(f"{e.fn} failed", algebra.DomainError("non-finite argument"), e.pos)
         try:
-            return _CALL_EVAL[e.fn](_eval(e.a, u, v, kind))
-        except (AlgebraError, OverflowError) as exc:
+            out = _CALL_EVAL[e.fn](args[0])
+        except AlgebraError as exc:
             raise EvalError(f"{e.fn} failed", exc, e.pos) from exc
+        except (OverflowError, ValueError):
+            # math and cmath word an overflow, or a domain error on an
+            # overflowed intermediate, their own way: report one text
+            out = None
+        if out is None or not _finite(out):
+            raise EvalError(f"{e.fn} failed", OverflowError("non-finite value"), e.pos)
+        return out
     raise TypeError(type(e))
 
 
-def _first_pos(e: Expr) -> int:
-    return getattr(e, "pos", -1)
+# -- evaluation over a grid ----------------------------------------------
+
+
+@dataclass
+class GridEval:
+    """Values of several trees over a grid of nodes, with the failed nodes.
+
+    values[k] is the (re, im) pair of float arrays of tree k; at a bad
+    node its entries are unspecified.  bad is True exactly where
+    evaluate raises EvalError for one of the trees, taken in order.
+    """
+
+    values: list[tuple[np.ndarray, np.ndarray]]
+    bad: np.ndarray
+    first_errors: dict[int, EvalError]  # flat node index -> the EvalError evaluate raises there
+
+    def errors(self) -> list[tuple[tuple[int, ...], EvalError]]:
+        """(node index, EvalError) of every bad node, in row-major order."""
+        return [
+            (tuple(int(i) for i in np.unravel_index(k, self.bad.shape)), self.first_errors[k])
+            for k in np.flatnonzero(self.bad)
+        ]
+
+    def raise_first(self) -> None:
+        """Raise the EvalError of the first bad node in row-major order, if any."""
+        if self.bad.any():
+            raise self.first_errors[int(np.flatnonzero(self.bad)[0])]
+
+
+def evaluate_grid(trees, u, v, kind: Kind) -> GridEval:
+    """Evaluate each tree at every node of the broadcast (u, v) arrays.
+
+    The array twin of evaluate: each algebra operation runs over all
+    nodes at once in the order Scalar performs it, so values, infs and
+    NaNs agree node by node with evaluate (the numpy transcendental
+    functions may differ from math and cmath in the last bit).  Nodes
+    where an operation may fail (a divisor on the zero or null-cone
+    test, a non-finite argument or value of a function call) are re-run
+    through the per-node operation, which gives the verdict and the
+    message.  Never raises for a failed node.
+    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    ev = _GridEvaluator(u.ravel(), v.ravel(), kind)
+    with np.errstate(all="ignore"):
+        values = [ev.eval(t) for t in trees]
+    return GridEval(
+        values=[(re.reshape(u.shape), im.reshape(u.shape)) for re, im in values],
+        bad=ev.bad.reshape(u.shape),
+        first_errors=ev.first_errors,
+    )
+
+
+class _GridEvaluator:
+    """Post-order evaluation over flat node arrays, shared subtrees once."""
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, kind: Kind):
+        self.u, self.v, self.kind = u, v, kind
+        self.bad = np.zeros(u.shape, dtype=bool)
+        self.first_errors = {}
+        self.memo = {}  # id(node) -> (node, value); holding node keeps its id unique
+
+    def eval(self, e: Expr):
+        hit = self.memo.get(id(e))
+        if hit is None:
+            hit = self.memo[id(e)] = (e, self._node(e))
+        return hit[1]
+
+    def _full(self, x: float) -> np.ndarray:
+        return np.full(self.u.shape, x)
+
+    def _node(self, e: Expr):
+        if isinstance(e, Const):
+            return self._full(e.re), self._full(e.im)
+        if isinstance(e, Var):
+            return (self.u if e.name == "u" else self.v), self._full(0.0)
+        if isinstance(e, Unit):
+            return self._full(0.0), self._full(1.0)
+        args = [self.eval(a) for a in _operands(e)]
+        sigma = self.kind.sigma
+        fails = None
+        if isinstance(e, Add):
+            out = args[0][0] + args[1][0], args[0][1] + args[1][1]
+        elif isinstance(e, Sub):
+            out = args[0][0] - args[1][0], args[0][1] - args[1][1]
+        elif isinstance(e, Mul):
+            out = algebra.mul_arrays(args[0], args[1], sigma)
+        elif isinstance(e, Div):
+            inverse, fails = algebra.invert_arrays(args[1], self.kind)
+            out = algebra.mul_arrays(args[0], inverse, sigma)
+        elif isinstance(e, Pow):
+            base = args[0]
+            if e.n < 0:
+                base, fails = algebra.invert_arrays(base, self.kind)
+            out = self._full(1.0), self._full(0.0)
+            for _ in range(abs(e.n)):
+                out = algebra.mul_arrays(out, base, sigma)
+        elif isinstance(e, Neg):
+            out = -args[0][0], -args[0][1]
+        elif isinstance(e, Conj):
+            out = args[0][0], -args[0][1]
+        elif isinstance(e, Call):
+            out = algebra.CALL_ARRAYS[e.fn](args[0], self.kind)
+            fails = ~(_finite_arrays(args[0]) & _finite_arrays(out))
+        else:
+            raise TypeError(type(e))
+        if fails is not None:
+            self._settle(e, args, out, fails & ~self.bad)
+        return out
+
+    def _settle(self, e: Expr, args, out, suspects: np.ndarray) -> None:
+        # the per-node operation decides each suspect node: it either
+        # raises (the node goes bad with that error) or gives the value
+        for k in np.flatnonzero(suspects):
+            try:
+                val = _apply(e, [Scalar(re[k], im[k], self.kind) for re, im in args], self.kind)
+            except EvalError as exc:
+                # keep the error, not its frames: a traceback would tie
+                # this evaluator and all its arrays into a reference cycle
+                exc.__traceback__ = exc.cause.__traceback__ = None
+                self.bad[k] = True
+                self.first_errors[int(k)] = exc
+            else:
+                out[0][k], out[1][k] = val.re, val.im
+
+
+def _finite_arrays(a) -> np.ndarray:
+    return np.isfinite(a[0]) & np.isfinite(a[1])
 
 
 # -- differentiation -----------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Kind
 from .spaces import Point, SpaceKind, SpaceModel
 from .weierstrass import DomainGrid
@@ -173,12 +175,10 @@ def reference_error(preset: Preset, mesh) -> float:
     """Max abs gap between a synthesized mesh and the preset closed forms."""
     from . import expr
 
-    refs = reference_fields(preset)
     g = mesh.grid
-    worst = 0.0
-    for i, u in enumerate(g.u_nodes):
-        for j, v in enumerate(g.v_nodes):
-            for k in range(4):
-                val = expr.evaluate(refs[k], float(u), float(v), preset.algebra)
-                worst = max(worst, abs(mesh.nodes[i, j, k] - val.re))
-    return worst
+    ev = expr.evaluate_grid(
+        reference_fields(preset), g.u_nodes[:, None], g.v_nodes[None, :], preset.algebra
+    )
+    ev.raise_first()
+    ref = np.stack([re for re, _ in ev.values], axis=-1)
+    return float(np.abs(mesh.nodes - ref).max())

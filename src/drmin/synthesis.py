@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Kind
-from .expr import EvalError, WeierstrassData, evaluate
+from .expr import EvalError, WeierstrassData, evaluate_grid
 from .spaces import Point, SpaceModel, frame_matrix
 from .weierstrass import (
     DomainGrid,
@@ -148,13 +148,13 @@ def tangent_field(
     """Coordinate tangents (f_u, f_v) at parameters (u, v) and positions p.
 
     p has shape (..., 4); u and v broadcast against its leading shape.
+    Raises the EvalError of the first node (row-major) where psi fails.
     """
     p = np.asarray(p, dtype=float)
     shape = p.shape[:-1]
-    uu, vv = np.broadcast_to(u, shape), np.broadcast_to(v, shape)
-    psi = np.empty(shape + (4, 2))  # columns: re, im
-    for n in np.ndindex(shape):
-        psi[n] = [(c.re, c.im) for c in w.eval_components(float(uu[n]), float(vv[n]))]
+    ev = evaluate_grid(w.psi, np.broadcast_to(u, shape), np.broadcast_to(v, shape), w.kind)
+    ev.raise_first()
+    psi = np.stack([np.stack(val, axis=-1) for val in ev.values], axis=-2)  # (..., 4, 2): re, im
     f = 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
     return f[..., 0], f[..., 1]
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Kind
-from .expr import WeierstrassData
+from .expr import WeierstrassData, evaluate_grid
 from .spaces import SpaceModel, christoffel_at, metric_at
 from .synthesis import SurfaceMesh
-from .weierstrass import condition_i
+from .weierstrass import conformal_density
 
 DEGENERACY_BAND_SCALE = 1e-10
 
@@ -208,15 +208,20 @@ def verify_mesh(
     """
     if mesh.space != s.name:
         raise ValueError(f"mesh was synthesized in {mesh.space}, not {s.name}")
+    if mesh.grid.nu < 3 or mesh.grid.nv < 3:
+        raise ValueError(
+            f"verification needs at least 3x3 nodes (an interior), "
+            f"got {mesh.grid.nu}x{mesh.grid.nv}"
+        )
     pb = pullback(s, mesh)
     chars = causal_character(PullbackSample(*np.moveaxis(pb, -1, 0)))
     tension = tension_residual(s, mesh)
     density_gap = None
     if w is not None:
         g = mesh.grid
-        dens = np.array(
-            [[condition_i(s, w, float(u), float(v)) for v in g.v_nodes[1:-1]] for u in g.u_nodes[1:-1]]
-        )
+        ev = evaluate_grid(w.psi, g.u_nodes[1:-1, None], g.v_nodes[None, 1:-1], w.kind)
+        ev.raise_first()
+        dens = conformal_density(s, w.kind, ev.values)
         density_gap = float(np.abs(2.0 * dens - pb[1:-1, 1:-1, 0]).max())
     return VerificationReport(
         mesh=mesh,

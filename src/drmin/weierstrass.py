@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra, expr
 from .algebra import Kind, Scalar
-from .expr import EvalError, WeierstrassData
+from .expr import WeierstrassData
 from .spaces import SpaceKind, SpaceModel, l_table
 
 
@@ -94,6 +94,16 @@ def condition_ii(s: SpaceModel, w: WeierstrassData, u: float, v: float) -> Scala
     out = algebra.zero(w.kind)
     for k in range(4):
         out = out + eps[k] * (psi[k] * psi[k])
+    return out
+
+
+def conformal_density(s: SpaceModel, kind: Kind, psi) -> np.ndarray:
+    """condition_i over arrays, from the (re, im) pairs of psi_1..psi_4."""
+    eps = s.signature
+    out = 0.0
+    with np.errstate(all="ignore"):
+        for k, (re, im) in enumerate(psi):
+            out = out + eps[k] * (re * re - kind.sigma * im * im)
     return out
 
 
@@ -253,56 +263,49 @@ def validate(
     grid: DomainGrid,
     tolerances: ValidationTolerances | None = None,
 ) -> ValidationReport:
-    """Sweep the three checks over the grid and assemble the report.
+    """Evaluate the three checks over the whole grid and assemble the report.
 
-    Nodes where evaluation fails (poles, zero divisors, log domain) are
-    recorded and masked out instead of aborting the sweep.
+    Nodes where evaluation fails (poles, zero divisors, log domain,
+    non-finite function values) are recorded and masked out instead of
+    aborting the sweep; their fields read 0.  The arithmetic is that of
+    condition_i, condition_ii and harmonicity_residual_generic, one
+    array operation per Scalar operation.
     """
     tolerances = tolerances or ValidationTolerances()
-    nu, nv = grid.nu, grid.nv
-    cond_i_arr = np.zeros((nu, nv))
-    cond_ii_re = np.zeros((nu, nv))
-    cond_ii_im = np.zeros((nu, nv))
-    res_re = np.zeros((4, nu, nv))
-    res_im = np.zeros((4, nu, nv))
-    node_ok = np.ones((nu, nv), dtype=bool)
-    errors = []
-    L = l_table(s)
+    u_nodes, v_nodes = grid.u_nodes, grid.v_nodes
+    ev = expr.evaluate_grid(w.psi + _bar_derivatives(w), u_nodes[:, None], v_nodes[None, :], w.kind)
+    psi, res = ev.values[:4], list(ev.values[4:])
+    sigma = w.kind.sigma
     eps = s.signature
-    bars = _bar_derivatives(w)
-    for i, u in enumerate(grid.u_nodes):
-        for j, v in enumerate(grid.v_nodes):
-            try:
-                psi = w.eval_components(float(u), float(v))
-                bvals = [expr.evaluate(d, float(u), float(v), w.kind) for d in bars]
-            except EvalError as exc:
-                node_ok[i, j] = False
-                errors.append((float(u), float(v), str(exc)))
-                continue
-            ci = 0.0
-            cii = algebra.zero(w.kind)
-            for k in range(4):
-                ci += eps[k] * algebra.modulus_sq(psi[k])
-                cii = cii + eps[k] * (psi[k] * psi[k])
-            cond_i_arr[i, j] = ci
-            cond_ii_re[i, j] = cii.re
-            cond_ii_im[i, j] = cii.im
-            res = list(bvals)
-            for (li, lj, lk), val in L.items():
-                res[lk - 1] = res[lk - 1] + 0.5 * val * (algebra.conj(psi[li - 1]) * psi[lj - 1])
-            for k in range(4):
-                res_re[k, i, j] = res[k].re
-                res_im[k, i, j] = res[k].im
+
+    def scaled(x, a, b):
+        # x * (a * b) with the real x entering as the full product with
+        # (x, 0.0), as Scalar coerces it: 0 * inf gives NaN here too
+        return algebra.mul_arrays(algebra.mul_arrays(a, b, sigma), (x, 0.0), sigma)
+
+    with np.errstate(all="ignore"):
+        cond_i = conformal_density(s, w.kind, psi)
+        cond_ii = (0.0, 0.0)
+        for k in range(4):
+            term = scaled(float(eps[k]), psi[k], psi[k])
+            cond_ii = (cond_ii[0] + term[0], cond_ii[1] + term[1])
+        for (i, j, k), val in l_table(s).items():
+            term = scaled(0.5 * val, (psi[i - 1][0], -psi[i - 1][1]), psi[j - 1])
+            res[k - 1] = (res[k - 1][0] + term[0], res[k - 1][1] + term[1])
+
+    def masked(field):
+        return np.where(ev.bad, 0.0, field)
+
     return ValidationReport(
         grid=grid,
         kind=w.kind,
         space=s.name,
-        cond_i=cond_i_arr,
-        cond_ii_re=cond_ii_re,
-        cond_ii_im=cond_ii_im,
-        residual_re=res_re,
-        residual_im=res_im,
-        node_ok=node_ok,
+        cond_i=masked(cond_i),
+        cond_ii_re=masked(cond_ii[0]),
+        cond_ii_im=masked(cond_ii[1]),
+        residual_re=masked(np.stack([r[0] for r in res])),
+        residual_im=masked(np.stack([r[1] for r in res])),
+        node_ok=~ev.bad,
         tolerances=tolerances,
-        errors=errors,
+        errors=[(float(u_nodes[i]), float(v_nodes[j]), str(exc)) for (i, j), exc in ev.errors()],
     )

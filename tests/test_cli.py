@@ -15,6 +15,9 @@ from drmin.cli import (
 
 SMALL = "9x9"
 
+# sin of exp(700)*exp(700) = inf: a non-finite function argument at every node
+SIN_OF_INF = "psi1 = tau/u + sin(exp(700)*exp(700))"
+
 GOOD_INI = textwrap.dedent(
     """
     [space]
@@ -127,6 +130,16 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_MATH_FAILURE
         assert "FAIL" in capsys.readouterr().out
 
+    def test_non_finite_function_argument_masked(self, tmp_path, capsys):
+        path = tmp_path / "sin.ini"
+        path.write_text(
+            GOOD_INI.replace("psi1 = tau/u", SIN_OF_INF)
+            + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["validate", "--config", str(path)]) == EXIT_MATH_FAILURE
+        out = capsys.readouterr().out
+        assert "81 nodes failed to evaluate" in out and "Traceback" not in out
+
     def test_syntax_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(GOOD_INI.replace("psi1 = tau/u", "psi1 = tau//u"))
@@ -188,6 +201,15 @@ class TestSynthesize:
         assert "numerical failure" in capsys.readouterr().out
         assert not out.exists()
 
+    def test_non_finite_function_argument_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "sin.ini"
+        path.write_text(GOOD_INI.replace("psi1 = tau/u", SIN_OF_INF))
+        out = tmp_path / "m.csv"
+        code = main(["synthesize", "--config", str(path), "--force", "--out", str(out)])
+        assert code == EXIT_NUMERICAL_FAILURE
+        assert "sin failed" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_bad_grid_spec(self, good_config, capsys):
         code = main(["synthesize", "--config", str(good_config), "--grid", "banana"])
         assert code == EXIT_INPUT_ERROR
@@ -228,6 +250,13 @@ class TestVerify:
         code = main(["verify", str(mesh), "--config", str(other)])
         assert code == EXIT_INPUT_ERROR
         assert "wrong geometry" in capsys.readouterr().out
+
+    def test_mesh_without_interior_exit_two(self, good_config, tmp_path, capsys):
+        mesh = tmp_path / "mesh.csv"
+        self.synth(good_config, mesh, grid="2x2")
+        code = main(["verify", str(mesh), "--config", str(good_config)])
+        assert code == EXIT_INPUT_ERROR
+        assert "at least 3x3" in capsys.readouterr().out
 
     def test_missing_mesh_exit_two(self, good_config, capsys):
         code = main(["verify", "/nonexistent.csv", "--config", str(good_config)])

@@ -1,9 +1,12 @@
 """Smoke tests: the scripts under scripts/ run against the library."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from drmin.presets import PRESETS
 
@@ -34,3 +37,16 @@ def test_convergence_study():
     # orders of the closed-form error (RK4) and the tension defect
     assert 3.5 <= float(rows[-1][2]) <= 4.5
     assert 1.5 <= float(rows[-1][4]) <= 2.5
+
+
+@pytest.mark.parametrize("workload", ["pipeline-21", "screen-17", "refine-ladder"])
+def test_benchmark_block_passes_its_checks(workload, tmp_path, monkeypatch):
+    # the benchmark's workloads, imported unchanged: every op of block 0
+    # must run and pass its output check against the current API
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    workloads = importlib.import_module("workloads")
+    ops = workloads.WORKLOADS[workload](seed=1, workdir=tmp_path).block(0)
+    assert len(ops) == len(PRESETS)
+    for op in ops:
+        op.check(op.run())

@@ -140,6 +140,25 @@ class TestVerifyMesh:
         with pytest.raises(ValueError):
             verify_mesh(S43, mesh)
 
+    def test_mesh_without_interior_rejected(self):
+        mesh = synthesize(S41, AXIS_PARA, GRID.with_resolution(2, 9), Point(0, 2, 0, 0))
+        with pytest.raises(ValueError, match="at least 3x3"):
+            verify_mesh(S41, mesh, AXIS_PARA)
+
+    def test_density_identity_matches_condition_i(self):
+        # the grid route of the density identity against condition_i per node
+        from drmin.weierstrass import condition_i
+
+        mesh = axis_mesh(9)
+        report = verify_mesh(S41, mesh, AXIS_PARA)
+        g = mesh.grid
+        want = max(
+            abs(2.0 * condition_i(S41, AXIS_PARA, float(g.u_nodes[i]), float(g.v_nodes[j]))
+                - report.pullbacks[i, j, 0])
+            for i in range(1, g.nu - 1) for j in range(1, g.nv - 1)
+        )
+        assert report.density_gap == want
+
     def test_perturbed_node_detected(self):
         mesh = axis_mesh(33)
         mesh.nodes[16, 16] += np.array([0.05, 0.0, 0.0, 0.0])
