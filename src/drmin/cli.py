@@ -15,7 +15,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import expr
+import numpy as np
+
 from .algebra import Kind
 from .expr import ExprError, WeierstrassData
 from .presets import PRESETS, Preset, reference_error
@@ -28,7 +29,7 @@ from .synthesis import (
     synthesize,
 )
 from .verify import verify_mesh
-from .weierstrass import DomainGrid, ValidationTolerances, validate
+from .weierstrass import DomainGrid, ValidationTolerances, float_text, validate
 
 EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
@@ -286,20 +287,12 @@ def cmd_export(args) -> int:
     with open(out, "w") as fh:
         fh.write(f"# projection {','.join(axes)}; vertex w holds coordinate "
                  f"{'xyzt'[scalar_idx]}\n")
-        for i in range(g.nu):
-            for j in range(g.nv):
-                node = mesh.nodes[i, j]
-                fh.write(
-                    f"v {node[idx[0]]!r} {node[idx[1]]!r} {node[idx[2]]!r} "
-                    f"{node[scalar_idx]!r}\n"
-                )
+        for row in mesh.nodes:
+            fh.write(("v {} {} {} {}\n" * g.nv).format(*float_text(row[:, idx + [scalar_idx]])))
         for i in range(g.nu - 1):
-            for j in range(g.nv - 1):
-                a = i * g.nv + j + 1
-                b = (i + 1) * g.nv + j + 1
-                c = (i + 1) * g.nv + j + 2
-                d = i * g.nv + j + 2
-                fh.write(f"f {a} {b} {c} {d}\n")
+            a = np.arange(i * g.nv + 1, (i + 1) * g.nv)  # 1-based first corners of row i's quads
+            corners = np.stack([a, a + g.nv, a + g.nv + 1, a + 1], axis=-1)
+            fh.write(("f {} {} {} {}\n" * (g.nv - 1)).format(*corners.ravel().tolist()))
     print(f"obj written to {out} ({g.nu * g.nv} vertices, {(g.nu - 1) * (g.nv - 1)} quads)")
     return EXIT_PASS
 

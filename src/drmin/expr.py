@@ -14,6 +14,7 @@ Grammar::
     base   := number | 'u' | 'v' | 'i' | 'tau'
             | ident '(' expr ')' | '(' expr ')' | '-' base
     ident  in {exp, ln, sin, cos, sinh, cosh, conj}
+    number := decimal literal with an optional exponent, e.g. 2, .5, 1e-05
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class Call(Expr):
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh", "conj")
 
 _TOKEN_RE = _re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
@@ -223,7 +224,7 @@ class _Parser:
                 self.next()
                 sign = -1
             typ2, val2, pos2 = self.next()
-            if typ2 != "num" or "." in val2:
+            if typ2 != "num" or not val2.isdigit():
                 raise ParseError("exponent must be an integer", pos2)
             e = Pow(e, sign * int(val2), pos=pos)
         return e

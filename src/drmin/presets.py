@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr
 from .algebra import Kind
 from .spaces import Point, SpaceKind, SpaceModel
 from .weierstrass import DomainGrid
@@ -166,15 +167,11 @@ PRESETS = build_presets()
 
 def reference_fields(preset: Preset):
     """Parsed closed-form coordinate expressions of the preset surface."""
-    from . import expr
-
     return tuple(expr.parse(t, preset.algebra) for t in preset.reference_texts)
 
 
 def reference_error(preset: Preset, mesh) -> float:
     """Max abs gap between a synthesized mesh and the preset closed forms."""
-    from . import expr
-
     g = mesh.grid
     ev = expr.evaluate_grid(
         reference_fields(preset), g.u_nodes[:, None], g.v_nodes[None, :], preset.algebra

@@ -12,7 +12,7 @@ corrupted data they visibly diverge.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,9 @@ from .weierstrass import (
     DomainGrid,
     ValidationReport,
     ValidationTolerances,
+    float_text,
     validate,
+    write_node_table,
 )
 
 
@@ -76,62 +78,59 @@ class SurfaceMesh:
 
     def to_csv(self, path) -> None:
         g = self.grid
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# space: {self.space}\n")
-            fh.write(f"# c: {self.c!r}\n")
-            fh.write(f"# algebra: {self.kind.value}\n")
-            fh.write(f"# grid: {g.u_min!r} {g.u_max!r} {g.v_min!r} {g.v_max!r} {g.nu} {g.nv} {g.u0!r} {g.v0!r}\n")
-            for key, val in sorted(self.provenance.items()):
-                fh.write(f"# {key}: {val}\n")
-            writer = csv.writer(fh)
-            writer.writerow(MESH_CSV_COLUMNS)
-            u_nodes, v_nodes = g.u_nodes, g.v_nodes
-            for i in range(g.nu):
-                for j in range(g.nv):
-                    writer.writerow(
-                        [repr(float(u_nodes[i])), repr(float(v_nodes[j]))]
-                        + [repr(float(x)) for x in self.nodes[i, j]]
-                    )
+        grid = [*float_text([g.u_min, g.u_max, g.v_min, g.v_max]), str(g.nu), str(g.nv),
+                *float_text([g.u0, g.v0])]
+        head = {"space": self.space, "c": float_text(self.c)[0], "algebra": self.kind.value,
+                "grid": " ".join(grid), **dict(sorted(self.provenance.items()))}
+        preamble = "".join(f"# {key}: {val}\n" for key, val in head.items())
+        columns = dict(zip(MESH_CSV_COLUMNS[2:], np.moveaxis(self.nodes, -1, 0)))
+        write_node_table(path, g, columns, preamble)
 
     @classmethod
     def from_csv(cls, path) -> "SurfaceMesh":
+        """Read a mesh written by to_csv, with CRLF or LF line endings.
+
+        A header, metadata line, row or cell that does not fit raises ValueError.
+        """
         meta = {}
-        rows = []
-        with open(path, newline="") as fh:
+
+        def data_lines(fh):
             for line in fh:
                 if line.startswith("#"):
                     key, _, val = line[1:].partition(":")
                     meta[key.strip()] = val.strip()
-                    continue
-                rows.append(line)
-        if not rows:
-            raise ValueError("mesh file has no data rows")
-        reader = csv.reader(rows)
-        header = next(reader)
-        if tuple(header) != MESH_CSV_COLUMNS:
-            raise ValueError(f"unexpected mesh columns {header}")
-        for req in ("space", "c", "algebra", "grid"):
-            if req not in meta:
-                raise ValueError(f"mesh file missing '{req}' metadata")
-        gparts = meta["grid"].split()
-        grid = DomainGrid(
-            float(gparts[0]), float(gparts[1]), float(gparts[2]), float(gparts[3]),
-            int(gparts[4]), int(gparts[5]), float(gparts[6]), float(gparts[7]),
-        )
-        nodes = np.zeros((grid.nu, grid.nv, 4))
-        count = 0
-        for row in reader:
-            if not row:
-                continue
-            i, j = divmod(count, grid.nv)
-            if i >= grid.nu:
-                raise ValueError("mesh file has more rows than the grid admits")
-            nodes[i, j] = [float(x) for x in row[2:6]]
-            count += 1
-        if count != grid.nu * grid.nv:
-            raise ValueError(
-                f"mesh file truncated: expected {grid.nu * grid.nv} rows, got {count}"
+                elif line.strip():
+                    yield line
+
+        with open(path) as fh:
+            lines = data_lines(fh)
+            header = next(lines, "").strip().split(",")
+            if tuple(header) != MESH_CSV_COLUMNS:
+                raise ValueError(f"unexpected mesh columns {header}")
+            for req in ("space", "c", "algebra", "grid"):
+                if req not in meta:
+                    raise ValueError(f"mesh file missing '{req}' metadata")
+            gparts = meta["grid"].split()
+            if len(gparts) != 8:
+                raise ValueError(f"grid metadata needs 8 fields, got {len(gparts)}")
+            grid = DomainGrid(
+                *map(float, gparts[:4]), *map(int, gparts[4:6]), *map(float, gparts[6:])
             )
+            n = grid.nu * grid.nv
+            # the rows stream into one array; np.loadtxt warns on empty input
+            first = next(lines, None)
+            data = np.empty((0, len(MESH_CSV_COLUMNS))) if first is None else np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", ndmin=2, max_rows=n + 1
+            )
+        if len(data) > n:
+            raise ValueError("mesh file has more rows than the grid admits")
+        if len(data) < n:
+            raise ValueError(f"mesh file truncated: expected {n} rows, got {len(data)}")
+        if data.shape[1] != len(MESH_CSV_COLUMNS):
+            raise ValueError(
+                f"mesh rows need {len(MESH_CSV_COLUMNS)} fields, got {data.shape[1]}"
+            )
+        nodes = np.ascontiguousarray(data[:, 2:]).reshape(grid.nu, grid.nv, 4)
         kind = Kind(meta["algebra"])
         provenance = {
             k: v for k, v in meta.items() if k not in ("space", "c", "algebra", "grid")
@@ -234,7 +233,7 @@ def synthesize(
         kind=w.kind,
         space=s.name,
         c=s.c,
-        provenance={"f0": tuple(f0.as_array())},
+        provenance={"f0": " ".join(float_text(f0.as_array()))},
     )
 
 

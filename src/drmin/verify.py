@@ -10,7 +10,6 @@ defects or non-vanishing tension.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,27 +18,19 @@ from .algebra import Kind
 from .expr import WeierstrassData, evaluate_grid
 from .spaces import SpaceModel, christoffel_at, metric_at
 from .synthesis import SurfaceMesh
-from .weierstrass import conformal_density
+from .weierstrass import conformal_density, write_node_table
 
 DEGENERACY_BAND_SCALE = 1e-10
 
 
-@dataclass(frozen=True)
-class PullbackSample:
-    """First fundamental form entries at one node, or arrays of them."""
+def causal_character(E, F, G, band_scale: float = DEGENERACY_BAND_SCALE):
+    """'spacelike', 'timelike' or 'degenerate' from the first fundamental form.
 
-    E: float
-    F: float
-    G: float
-
-
-def causal_character(p: PullbackSample, band_scale: float = DEGENERACY_BAND_SCALE):
-    """'spacelike', 'timelike' or 'degenerate'; E, F, G may be arrays.
-
-    Array samples give an object array of labels of the same shape.
+    E, F, G may be arrays; then the result is an object array of labels
+    of the same shape.
     """
-    det = p.E * p.G - p.F * p.F
-    band = band_scale * (1.0 + p.E * p.E + p.G * p.G)
+    det = E * G - F * F
+    band = band_scale * (1.0 + E * E + G * G)
     out = np.where(np.abs(det) <= band, "degenerate", np.where(det < 0.0, "timelike", "spacelike"))
     return out.astype(object) if out.ndim else str(out)
 
@@ -171,26 +162,16 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        g = self.mesh.grid
-        u_nodes, v_nodes = g.u_nodes, g.v_nodes
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "v", "E", "F", "G", "char", "tension_norm"])
-            for i in range(g.nu):
-                for j in range(g.nv):
-                    tn = self.tension[i, j]
-                    tnorm = float(np.linalg.norm(tn)) if np.all(np.isfinite(tn)) else float("nan")
-                    writer.writerow(
-                        [
-                            repr(float(u_nodes[i])),
-                            repr(float(v_nodes[j])),
-                            repr(float(self.pullbacks[i, j, 0])),
-                            repr(float(self.pullbacks[i, j, 1])),
-                            repr(float(self.pullbacks[i, j, 2])),
-                            self.characters[i, j],
-                            repr(tnorm),
-                        ]
-                    )
+        t = self.tension
+        # a batched matmul sums the squares as the BLAS dot inside np.linalg.norm does
+        with np.errstate(over="ignore"):
+            norm = (t[..., None, :] @ t[..., :, None])[..., 0, 0]
+        np.sqrt(norm, out=norm)
+        norm[~np.isfinite(t).all(axis=-1)] = np.nan
+        columns = dict(zip("EFG", np.moveaxis(self.pullbacks, -1, 0)))
+        columns["char"] = self.characters
+        columns["tension_norm"] = norm
+        write_node_table(path, self.mesh.grid, columns)
 
 
 def verify_mesh(
@@ -214,7 +195,7 @@ def verify_mesh(
             f"got {mesh.grid.nu}x{mesh.grid.nv}"
         )
     pb = pullback(s, mesh)
-    chars = causal_character(PullbackSample(*np.moveaxis(pb, -1, 0)))
+    chars = causal_character(*np.moveaxis(pb, -1, 0))
     tension = tension_residual(s, mesh)
     density_gap = None
     if w is not None:

@@ -14,7 +14,6 @@ Three pointwise checks on a component quadruple psi_1..psi_4:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +72,31 @@ class DomainGrid:
 
     def with_resolution(self, nu: int, nv: int) -> "DomainGrid":
         return DomainGrid(self.u_min, self.u_max, self.v_min, self.v_max, nu, nv, self.u0, self.v0)
+
+
+def float_text(values) -> list[str]:
+    """The text of every float drmin writes, row-major: repr of the Python float."""
+    return list(map(repr, np.ravel(np.asarray(values, dtype=float)).tolist()))
+
+
+def write_node_table(path, grid: DomainGrid, columns: dict, preamble: str = "") -> None:
+    """Write one CSV row per grid node, in row-major order: u, v, then columns.
+
+    columns maps header names to (nu, nv) arrays: floats are written through
+    float_text, object arrays of strings as they are.  Rows end in CRLF after
+    the preamble; the text is built one grid row at a time, never for the
+    whole file.
+    """
+    u_text, v_text = float_text(grid.u_nodes), float_text(grid.v_nodes)
+    with open(path, "w", newline="") as fh:
+        fh.write(preamble + ",".join(["u", "v", *columns]) + "\r\n")
+        for i, u in enumerate(u_text):
+            cells = [
+                c[i].tolist() if c.dtype == object else float_text(c[i]) for c in columns.values()
+            ]
+            fh.write("".join(
+                f"{u},{v},{','.join(node)}\r\n" for v, node in zip(v_text, zip(*cells))
+            ))
 
 
 @dataclass(frozen=True)
@@ -241,20 +265,13 @@ class ValidationReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        u_nodes = self.grid.u_nodes
-        v_nodes = self.grid.v_nodes
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["u", "v", "cond_i", "cond_ii_re", "cond_ii_im"]
-                + [f"r{k}_{part}" for k in (1, 2, 3, 4) for part in ("re", "im")]
-            )
-            for i, u in enumerate(u_nodes):
-                for j, v in enumerate(v_nodes):
-                    row = [u, v, self.cond_i[i, j], self.cond_ii_re[i, j], self.cond_ii_im[i, j]]
-                    for k in range(4):
-                        row += [self.residual_re[k, i, j], self.residual_im[k, i, j]]
-                    writer.writerow([repr(float(x)) for x in row])
+        columns = {
+            "cond_i": self.cond_i, "cond_ii_re": self.cond_ii_re, "cond_ii_im": self.cond_ii_im
+        }
+        for k in range(4):
+            columns[f"r{k + 1}_re"] = self.residual_re[k]
+            columns[f"r{k + 1}_im"] = self.residual_im[k]
+        write_node_table(path, self.grid, columns)
 
 
 def validate(

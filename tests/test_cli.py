@@ -258,6 +258,43 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert "at least 3x3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda lines: [("# grid: 1.0 2.0" if l.startswith("# grid:") else l) for l in lines],
+             "8 fields"),
+            (lambda lines: lines[:40] + [lines[40] + ",0.0"] + lines[41:], "cannot read"),
+            (lambda lines: [l + ",0.0" if l[0].isdigit() else l for l in lines],
+             "need 6 fields, got 7"),
+            (lambda lines: lines[:40] + [lines[40].rsplit(",", 1)[0]] + lines[41:], "cannot read"),
+            (lambda lines: lines[:40] + [lines[40].rsplit(",", 1)[0] + ",zero"] + lines[41:],
+             "zero"),
+        ],
+        ids=["two-field-grid", "seven-field-row", "seven-field-rows", "short-row",
+             "non-numeric-cell"],
+    )
+    def test_malformed_mesh_exit_two(self, good_config, tmp_path, capsys, corrupt, message):
+        mesh = tmp_path / "mesh.csv"
+        self.synth(good_config, mesh)
+        lines = mesh.read_text().splitlines()
+        assert lines[40][0].isdigit()  # a data row of the 9x9 mesh
+        mesh.write_text("\n".join(corrupt(lines)) + "\n")
+        code = main(["verify", str(mesh), "--config", str(good_config)])
+        out = capsys.readouterr().out
+        assert code == EXIT_INPUT_ERROR
+        assert "cannot read mesh file" in out and message in out
+        assert "Traceback" not in out
+
+    def test_blank_lines_and_lf_endings_load(self, good_config, tmp_path, capsys):
+        mesh = tmp_path / "mesh.csv"
+        self.synth(good_config, mesh, grid="25x25")
+        lines = mesh.read_text().splitlines()
+        lines.insert(len(lines) // 2, "")
+        mesh.write_text("\n".join(lines) + "\n")
+        code = main(["verify", str(mesh), "--config", str(good_config)])
+        assert code == EXIT_PASS
+        assert "PASS" in capsys.readouterr().out
+
     def test_missing_mesh_exit_two(self, good_config, capsys):
         code = main(["verify", "/nonexistent.csv", "--config", str(good_config)])
         assert code == EXIT_INPUT_ERROR

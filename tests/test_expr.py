@@ -75,6 +75,23 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("u^1.5", Kind.PARA)
 
+    @pytest.mark.parametrize("text, value", [("1e-05", 1e-05), ("2.5E3", 2500.0), (".5e+1", 5.0)])
+    def test_exponent_literals(self, text, value):
+        assert parse(text, Kind.PARA) == Const(value)
+        e = parse(f"{text}*u", Kind.COMPLEX)
+        assert evaluate(e, 2.0, 0.0, Kind.COMPLEX).re == value * 2.0
+
+    def test_repr_text_parses_back(self):
+        for x in (1e-05, 6.02e23, 0.1, 1.5e-300):
+            assert parse(repr(x), Kind.PARA) == Const(x)
+
+    def test_exponent_literal_is_no_power(self):
+        with pytest.raises(ParseError, match="integer"):
+            parse("u^1e2", Kind.PARA)
+        # '2e' with no digits is the number 2 followed by a name
+        with pytest.raises(ParseError, match="unexpected token 'exp'"):
+            parse("2exp(u)", Kind.PARA)
+
 
 class TestEval:
     def test_typical_component_data(self):

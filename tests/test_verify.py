@@ -7,7 +7,6 @@ from drmin.presets import PRESETS
 from drmin.spaces import Point, SpaceKind, SpaceModel
 from drmin.synthesis import synthesize
 from drmin.verify import (
-    PullbackSample,
     causal_character,
     pullback,
     tension_residual,
@@ -31,14 +30,14 @@ def axis_mesh(n=33):
 
 class TestCausalCharacter:
     def test_three_characters(self):
-        assert causal_character(PullbackSample(1.0, 0.0, 1.0)) == "spacelike"
-        assert causal_character(PullbackSample(-2.0, 0.0, 2.0)) == "timelike"
-        assert causal_character(PullbackSample(0.0, 0.0, 0.0)) == "degenerate"
+        assert causal_character(1.0, 0.0, 1.0) == "spacelike"
+        assert causal_character(-2.0, 0.0, 2.0) == "timelike"
+        assert causal_character(0.0, 0.0, 0.0) == "degenerate"
 
     def test_band_scales_with_magnitude(self):
         # det is tiny relative to E, G: still inside the degeneracy band
-        assert causal_character(PullbackSample(1e4, 0.0, 1e-14)) == "degenerate"
-        assert causal_character(PullbackSample(1.0, 0.0, 1e-4)) == "spacelike"
+        assert causal_character(1e4, 0.0, 1e-14) == "degenerate"
+        assert causal_character(1.0, 0.0, 1e-4) == "spacelike"
 
 
 class TestPullback:
