@@ -201,17 +201,17 @@ def cmd_synthesize(args) -> int:
     w = cfg.weierstrass()
     model = cfg.model()
     report = validate(model, w, cfg.grid, cfg.tolerances)
-    if not report.passed and not args.force:
-        print(report.summary())
-        print("refusing to synthesize from invalid data (use --force to override)")
-        return EXIT_MATH_FAILURE
-    if not report.passed:
+    if args.force and not report.passed:
         print("WARNING: synthesizing from data that failed validation (--force)")
         for reason in report.failures():
             print(f"  - {reason}")
     try:
-        mesh = synthesize(model, w, cfg.grid, cfg.f0, report=report, force=True)
+        mesh = synthesize(model, w, cfg.grid, cfg.f0, report=report, force=args.force)
         gap = path_independence(model, w, mesh)
+    except ValidationRefusedError:
+        print(report.summary())
+        print("refusing to synthesize from invalid data (use --force to override)")
+        return EXIT_MATH_FAILURE
     except StepFailureError as exc:
         print(f"numerical failure: {exc}")
         return EXIT_NUMERICAL_FAILURE

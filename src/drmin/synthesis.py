@@ -23,7 +23,6 @@ from .spaces import Point, SpaceModel, frame_matrix
 from .weierstrass import (
     DomainGrid,
     ValidationReport,
-    ValidationTolerances,
     float_text,
     validate,
     write_node_table,
@@ -82,7 +81,8 @@ class SurfaceMesh:
                 *float_text([g.u0, g.v0])]
         head = {"space": self.space, "c": float_text(self.c)[0], "algebra": self.kind.value,
                 "grid": " ".join(grid), **dict(sorted(self.provenance.items()))}
-        preamble = "".join(f"# {key}: {val}\n" for key, val in head.items())
+        # one line per value: a formula may span lines in the INI file
+        preamble = "".join(f"# {key}: {' '.join(str(val).split())}\n" for key, val in head.items())
         columns = dict(zip(MESH_CSV_COLUMNS[2:], np.moveaxis(self.nodes, -1, 0)))
         write_node_table(path, g, columns, preamble)
 
@@ -172,7 +172,7 @@ def _rk4(rhs, y, coords, name: str) -> np.ndarray:
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise StepFailureError(f"non-finite state at {name} = {b!r}")
+            raise StepFailureError(f"non-finite state at {name} = {float(b)!r}")
         states.append(y)
     return np.stack(states)
 
@@ -201,8 +201,10 @@ def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
         behind = _rk4(rhs, state, coords[k::-1], name)
         return np.concatenate([behind[:0:-1], ahead])
 
-    line = sweep(np.asarray(f0, dtype=float), first, nodes[second][base[second]])
-    sheet = sweep(line, second, nodes[first])
+    # a state that blows up is caught after its step by _rk4's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        line = sweep(np.asarray(f0, dtype=float), first, nodes[second][base[second]])
+        sheet = sweep(line, second, nodes[first])
     return sheet if transposed else sheet.swapaxes(0, 1)
 
 
@@ -213,7 +215,6 @@ def synthesize(
     f0: Point | None = None,
     report: ValidationReport | None = None,
     force: bool = False,
-    tolerances: ValidationTolerances | None = None,
 ) -> SurfaceMesh:
     """Build the surface mesh from validated component data.
 
@@ -223,7 +224,7 @@ def synthesize(
     f0 = f0 or Point(0.0, 0.0, 0.0, 0.0)
     if not force:
         if report is None:
-            report = validate(s, w, grid, tolerances)
+            report = validate(s, w, grid)
         if not report.passed:
             raise ValidationRefusedError(report)
     nodes = _march(s, w, grid, f0, transposed=False)

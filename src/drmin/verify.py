@@ -18,19 +18,22 @@ from .algebra import Kind
 from .expr import WeierstrassData, evaluate_grid
 from .spaces import SpaceModel, christoffel_at, metric_at
 from .synthesis import SurfaceMesh
-from .weierstrass import conformal_density, write_node_table
+from .weierstrass import conformal_density, exceeds, report_lines, write_node_table
 
 DEGENERACY_BAND_SCALE = 1e-10
+# fixed absolute bounds on the interior sup-norms of the finite-difference defects
+CONFORMALITY_TOL = 1e-2
+TENSION_TOL = 1e-2
 
 
-def causal_character(E, F, G, band_scale: float = DEGENERACY_BAND_SCALE):
+def causal_character(E, F, G):
     """'spacelike', 'timelike' or 'degenerate' from the first fundamental form.
 
     E, F, G may be arrays; then the result is an object array of labels
     of the same shape.
     """
     det = E * G - F * F
-    band = band_scale * (1.0 + E * E + G * G)
+    band = DEGENERACY_BAND_SCALE * (1.0 + E * E + G * G)
     out = np.where(np.abs(det) <= band, "degenerate", np.where(det < 0.0, "timelike", "spacelike"))
     return out.astype(object) if out.ndim else str(out)
 
@@ -77,13 +80,10 @@ def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
 @dataclass
 class VerificationReport:
     mesh: SurfaceMesh
-    space: str
     pullbacks: np.ndarray  # (nu, nv, 3)
     characters: np.ndarray  # (nu, nv) of strings
     tension: np.ndarray  # (nu, nv, 4), NaN on boundary
     density_gap: float | None  # sup |2*cond_i - E| over the interior, if psi given
-    conformality_tol: float
-    tension_tol: float
 
     @property
     def interior(self) -> tuple[slice, slice]:
@@ -123,21 +123,13 @@ class VerificationReport:
                 f"causal character {char!r} does not match the "
                 f"{self.mesh.kind.value}-algebra expectation {self.mesh.causal_character!r}"
             )
-        # written as "not <=" so that NaN fails
-        if not self.conformality_defect <= self.conformality_tol:
-            out.append(
-                f"conformality defect {self.conformality_defect:.3e} exceeds "
-                f"{self.conformality_tol:.1e}"
-            )
-        if not self.tension_sup <= self.tension_tol:
-            out.append(
-                f"tension sup-norm {self.tension_sup:.3e} exceeds {self.tension_tol:.1e}"
-            )
-        if self.density_gap is not None and not self.density_gap <= self.conformality_tol:
-            out.append(
-                f"conformal density mismatch {self.density_gap:.3e} exceeds "
-                f"{self.conformality_tol:.1e}"
-            )
+        checks = [
+            exceeds("conformality defect", self.conformality_defect, CONFORMALITY_TOL),
+            exceeds("tension sup-norm", self.tension_sup, TENSION_TOL),
+        ]
+        if self.density_gap is not None:
+            checks.append(exceeds("conformal density mismatch", self.density_gap, CONFORMALITY_TOL))
+        out += filter(None, checks)
         return out
 
     @property
@@ -145,21 +137,16 @@ class VerificationReport:
         return not self.failures()
 
     def summary(self) -> str:
-        lines = [
-            f"verification report ({self.space}, {self.mesh.grid.nu}x{self.mesh.grid.nv} mesh)",
-            f"  causal character     : {self.interior_character}",
-            f"  conformality defect  : {self.conformality_defect:.6e}",
-            f"  tension sup-norm     : {self.tension_sup:.6e}",
-        ]
+        rows = {
+            "causal character": self.interior_character,
+            "conformality defect": f"{self.conformality_defect:.6e}",
+            "tension sup-norm": f"{self.tension_sup:.6e}",
+        }
         if self.density_gap is not None:
-            lines.append(f"  density identity gap : {self.density_gap:.6e}")
-        if self.passed:
-            lines.append("  verdict: PASS")
-        else:
-            lines.append("  verdict: FAIL")
-            for reason in self.failures():
-                lines.append(f"    - {reason}")
-        return "\n".join(lines)
+            rows["density identity gap"] = f"{self.density_gap:.6e}"
+        g = self.mesh.grid
+        title = f"verification report ({self.mesh.space}, {g.nu}x{g.nv} mesh)"
+        return "\n".join(report_lines(title, rows, self.failures()))
 
     def to_csv(self, path) -> None:
         t = self.tension
@@ -178,8 +165,6 @@ def verify_mesh(
     s: SpaceModel,
     mesh: SurfaceMesh,
     w: WeierstrassData | None = None,
-    conformality_tol: float = 1e-2,
-    tension_tol: float = 1e-2,
 ) -> VerificationReport:
     """Bundle pullback, causal character and tension checks on a mesh.
 
@@ -206,11 +191,8 @@ def verify_mesh(
         density_gap = float(np.abs(2.0 * dens - pb[1:-1, 1:-1, 0]).max())
     return VerificationReport(
         mesh=mesh,
-        space=s.name,
         pullbacks=pb,
         characters=chars,
         tension=tension,
         density_gap=density_gap,
-        conformality_tol=conformality_tol,
-        tension_tol=tension_tol,
     )

@@ -99,6 +99,21 @@ def write_node_table(path, grid: DomainGrid, columns: dict, preamble: str = "") 
             ))
 
 
+def exceeds(name: str, value: float, limit: float) -> str | None:
+    """The failure text of a sup-norm above its limit, or None; NaN exceeds every limit."""
+    if not value <= limit:  # written as "not <=" so that NaN fails
+        return f"{name} {value:.3e} exceeds {limit:.1e}"
+    return None
+
+
+def report_lines(title: str, rows: dict[str, str], failures: list[str]) -> list[str]:
+    """A report summary: the title, one line per quantity, the verdict and its reasons."""
+    lines = [title, *(f"  {label:<21}: {value}" for label, value in rows.items())]
+    lines.append(f"  verdict: {'FAIL' if failures else 'PASS'}")
+    lines.extend(f"    - {reason}" for reason in failures)
+    return lines
+
+
 @dataclass(frozen=True)
 class ValidationTolerances:
     harmonicity: float = 1e-10
@@ -218,21 +233,15 @@ class ValidationReport:
         out = []
         if not self.all_nodes_ok:
             out.append(f"{int((~self.node_ok).sum())} nodes failed to evaluate")
-        # written as "not <=" so that NaN fails
-        if not self.harmonicity_sup <= self.tolerances.harmonicity:
-            out.append(
-                f"harmonicity sup-norm {self.harmonicity_sup:.3e} exceeds "
-                f"{self.tolerances.harmonicity:.1e}"
-            )
-        if not self.conformality_sup <= self.tolerances.conformality:
-            out.append(
-                f"conformality sup-norm {self.conformality_sup:.3e} exceeds "
-                f"{self.tolerances.conformality:.1e}"
-            )
-        if not self.immersion_min >= self.tolerances.immersion_floor:
+        tol = self.tolerances
+        out += filter(None, [
+            exceeds("harmonicity sup-norm", self.harmonicity_sup, tol.harmonicity),
+            exceeds("conformality sup-norm", self.conformality_sup, tol.conformality),
+        ])
+        if not self.immersion_min >= tol.immersion_floor:  # a floor; NaN fails it too
             out.append(
                 f"degenerate (non-immersion): min |density| {self.immersion_min:.3e} "
-                f"below floor {self.tolerances.immersion_floor:.1e}"
+                f"below floor {tol.immersion_floor:.1e}"
             )
         return out
 
@@ -247,19 +256,18 @@ class ValidationReport:
         return float(self.grid.u_nodes[i]), float(self.grid.v_nodes[j])
 
     def summary(self) -> str:
-        lines = [
+        failures = self.failures()
+        lines = report_lines(
             f"validation report ({self.space}, {self.kind.value} algebra, "
             f"{self.grid.nu}x{self.grid.nv} grid)",
-            f"  harmonicity sup-norm : {self.harmonicity_sup:.6e}",
-            f"  conformality sup-norm: {self.conformality_sup:.6e}",
-            f"  min |density|        : {self.immersion_min:.6e}",
-        ]
-        if self.passed:
-            lines.append("  verdict: PASS")
-        else:
-            lines.append("  verdict: FAIL")
-            for reason in self.failures():
-                lines.append(f"    - {reason}")
+            {
+                "harmonicity sup-norm": f"{self.harmonicity_sup:.6e}",
+                "conformality sup-norm": f"{self.conformality_sup:.6e}",
+                "min |density|": f"{self.immersion_min:.6e}",
+            },
+            failures,
+        )
+        if failures:
             wu, wv = self.worst_node()
             lines.append(f"    max residual near (u, v) = ({wu:.6g}, {wv:.6g})")
         return "\n".join(lines)

@@ -210,6 +210,21 @@ class TestSynthesize:
         assert "sin failed" in capsys.readouterr().out
         assert not out.exists()
 
+    def test_blow_up_exit_three_without_warnings(self, tmp_path, capsys):
+        # the state overflows between nodes; the suite turns any warning into an error
+        path = tmp_path / "blow.ini"
+        path.write_text(
+            GOOD_INI.replace("psi1 = tau/u", "psi1 = tau*u^40").replace("psi4 = 1/u", "psi4 = u^60")
+            .replace("nu = 9", "nu = 11").replace("nv = 9", "nv = 11")
+        )
+        out = tmp_path / "m.csv"
+        code = main(["synthesize", "--config", str(path), "--force", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL_FAILURE
+        assert "numerical failure: non-finite state at u = 1.2\n" in captured.out
+        assert captured.err == ""
+        assert not out.exists()
+
     def test_bad_grid_spec(self, good_config, capsys):
         code = main(["synthesize", "--config", str(good_config), "--grid", "banana"])
         assert code == EXIT_INPUT_ERROR
@@ -294,6 +309,16 @@ class TestVerify:
         code = main(["verify", str(mesh), "--config", str(good_config)])
         assert code == EXIT_PASS
         assert "PASS" in capsys.readouterr().out
+
+    def test_formula_spanning_lines_round_trips(self, good_config, tmp_path, capsys):
+        # an indented line continues the INI value; the mesh header keeps it on one line
+        path = tmp_path / "run.ini"
+        spanning = "psi1 = tau/u\n        + 0"
+        path.write_text(good_config.read_text().replace("psi1 = tau/u", spanning))
+        mesh = tmp_path / "mesh.csv"
+        self.synth(path, mesh, grid="25x25")
+        assert "# psi1: tau/u + 0\n" in mesh.read_text()
+        assert main(["verify", str(mesh), "--config", str(path)]) == EXIT_PASS
 
     def test_missing_mesh_exit_two(self, good_config, capsys):
         code = main(["verify", "/nonexistent.csv", "--config", str(good_config)])

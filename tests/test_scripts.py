@@ -29,6 +29,17 @@ def test_run_presets():
     assert sorted(row.split()[0] for row in rows) == sorted(PRESETS)
 
 
+def test_run_presets_lists_failed_checks():
+    # verify's fixed 1e-2 bound is below the finite-difference defect at h = 0.1
+    proc = run_script("run_presets.py", "--grid", "11x11")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert sorted(row.split()[0] for row in lines[2:2 + len(PRESETS)]) == sorted(PRESETS)
+    assert "s41-timelike-basic: conformality defect 1.833e-02 exceeds 1.0e-02" in lines
+    assert all(line.split(":")[0] in PRESETS for line in lines[2 + len(PRESETS):])
+
+
 def test_convergence_study():
     proc = run_script("convergence_study.py", "--grids", "9,17,33")
     assert proc.returncode == 0, proc.stderr
