@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Kind
-from .expr import EvalError, WeierstrassData, evaluate_grid
+from .expr import EvalError, GridEval, WeierstrassData, evaluate_grid
 from .spaces import Point, SpaceModel, frame_matrix
 from .weierstrass import (
     DomainGrid,
@@ -141,6 +141,16 @@ class SurfaceMesh:
         )
 
 
+def _psi_values(ev: GridEval) -> np.ndarray:
+    """(..., 4, 2) array of the psi values (re, im) of a grid evaluation."""
+    return np.stack([np.stack(val, axis=-1) for val in ev.values], axis=-2)
+
+
+def _apply_frame(s: SpaceModel, p, psi) -> np.ndarray:
+    """2 A(p) psi as (..., 4, 2): its re and im parts are (f_u, f_v)."""
+    return 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
+
+
 def tangent_field(
     s: SpaceModel, w: WeierstrassData, p, u, v
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -153,26 +163,45 @@ def tangent_field(
     shape = p.shape[:-1]
     ev = evaluate_grid(w.psi, np.broadcast_to(u, shape), np.broadcast_to(v, shape), w.kind)
     ev.raise_first()
-    psi = np.stack([np.stack(val, axis=-1) for val in ev.values], axis=-2)  # (..., 4, 2): re, im
-    f = 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
+    f = _apply_frame(s, p, _psi_values(ev))
     return f[..., 0], f[..., 1]
 
 
-def _rk4(rhs, y, coords, name: str) -> np.ndarray:
-    """RK4 states at every value of coords, starting from y at coords[0]."""
+def _rk4(s, w, y, coords, fixed, axis: int) -> np.ndarray:
+    """RK4 states at every value of coords along axis, starting from y at coords[0].
+
+    y holds one state per stacked line, shape (..., 4); the other parameter
+    is fixed (a scalar, or one value per line).  psi does not depend on the
+    state, so it is evaluated once, on the nodes and the step midpoints
+    a + 0.5*h of every line; each stage then only applies the frame.  A
+    node where psi fails raises when the stage that uses it runs.
+    """
+    n = len(coords)
+    mids = coords[:-1] + 0.5 * (coords[1:] - coords[:-1])
+    x = np.concatenate([coords, mids]).reshape(-1, *[1] * (y.ndim - 1))
+    ev = evaluate_grid(w.psi, *((x, fixed) if axis == 0 else (fixed, x)), w.kind)
+    psi = _psi_values(ev)
+    bad = ev.bad.reshape(len(x), -1)
+    bad_rows = bad.any(axis=1).tolist()
+
+    def stage(p, row):
+        if bad_rows[row]:
+            raise ev.first_errors[row * bad.shape[1] + int(np.flatnonzero(bad[row])[0])]
+        return _apply_frame(s, p, psi[row])[..., axis]
+
     states = [y]
-    for a, b in zip(coords[:-1], coords[1:]):
-        h = b - a
+    for i in range(n - 1):
+        h = coords[i + 1] - coords[i]
         try:
-            k1 = rhs(y, a)
-            k2 = rhs(y + 0.5 * h * k1, a + 0.5 * h)
-            k3 = rhs(y + 0.5 * h * k2, a + 0.5 * h)
-            k4 = rhs(y + h * k3, b)
+            k1 = stage(y, i)  # node rows 0..n-1, midpoint rows n..2n-2
+            k2 = stage(y + 0.5 * h * k1, n + i)
+            k3 = stage(y + 0.5 * h * k2, n + i)
+            k4 = stage(y + h * k3, i + 1)
         except EvalError as exc:
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise StepFailureError(f"non-finite state at {name} = {float(b)!r}")
+            raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(coords[i + 1])!r}")
         states.append(y)
     return np.stack(states)
 
@@ -190,15 +219,11 @@ def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
 
     def sweep(state, axis, fixed):
         # march out both ways from the base node along the given axis,
-        # with the other parameter held at fixed (a scalar or one per line)
-        def rhs(y, x):
-            uv = (x, fixed) if axis == 0 else (fixed, x)
-            return tangent_field(s, w, y, *uv)[axis]
-
+        # with the other parameter held at fixed (a scalar or one per line);
+        # the midpoints are taken per direction, as reversed steps round differently
         coords, k = nodes[axis], base[axis]
-        name = "uv"[axis]
-        ahead = _rk4(rhs, state, coords[k:], name)
-        behind = _rk4(rhs, state, coords[k::-1], name)
+        ahead = _rk4(s, w, state, coords[k:], fixed, axis)
+        behind = _rk4(s, w, state, coords[k::-1], fixed, axis)
         return np.concatenate([behind[:0:-1], ahead])
 
     # a state that blows up is caught after its step by _rk4's finiteness check

@@ -249,9 +249,12 @@ class ValidationReport:
     def passed(self) -> bool:
         return not self.failures()
 
-    def worst_node(self) -> tuple[float, float]:
+    def worst_node(self) -> tuple[float, float] | None:
+        """(u, v) of the largest residual over the evaluated nodes; None if there are none."""
+        if not self.node_ok.any():
+            return None
         mags = np.hypot(self.residual_re, self.residual_im).max(axis=0)
-        mags = np.where(self.node_ok, mags, np.inf)
+        mags = np.where(self.node_ok, mags, -np.inf)
         i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
         return float(self.grid.u_nodes[i]), float(self.grid.v_nodes[j])
 
@@ -267,9 +270,9 @@ class ValidationReport:
             },
             failures,
         )
-        if failures:
-            wu, wv = self.worst_node()
-            lines.append(f"    max residual near (u, v) = ({wu:.6g}, {wv:.6g})")
+        worst = self.worst_node() if failures else None
+        if worst is not None:
+            lines.append(f"    max residual near (u, v) = ({worst[0]:.6g}, {worst[1]:.6g})")
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:

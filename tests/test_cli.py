@@ -266,6 +266,29 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert "wrong geometry" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edits, named", [
+        ([("c = 1.0", "c = 2.0")], "c 2.0 vs 1.0"),
+        ([("kind = para", "kind = complex"), ("tau/u", "i/u")], "algebra complex vs para"),
+    ], ids=["c", "algebra"])
+    def test_header_mismatch_exit_two(self, tmp_path, monkeypatch, capsys, edits, named):
+        # a mesh made under another c or algebra, against the preset's configuration
+        text = GOOD_INI
+        for old, new in edits:
+            text = text.replace(old, new)
+        other = tmp_path / "other.ini"
+        other.write_text(text)
+        mesh = tmp_path / "mesh.csv"
+        argv = ["synthesize", "--config", str(other), "--out", str(mesh), "--force"]
+        assert main(argv) == EXIT_PASS
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify", str(mesh), "--preset", "s41-timelike-basic"])
+        out = capsys.readouterr().out
+        assert code == EXIT_INPUT_ERROR
+        assert f"mesh header does not match the configuration ({named})" in out
+        assert "wrong geometry" in out
+        assert not (tmp_path / "verification.csv").exists()
+
     def test_mesh_without_interior_exit_two(self, good_config, tmp_path, capsys):
         mesh = tmp_path / "mesh.csv"
         self.synth(good_config, mesh, grid="2x2")

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run against the library."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -61,3 +62,38 @@ def test_benchmark_block_passes_its_checks(workload, tmp_path, monkeypatch):
     assert len(ops) == len(PRESETS)
     for op in ops:
         op.check(op.run())
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def run_benchmark(workload, trace):
+    """Metrics of a short benchmark run; its record goes to the git-ignored perfbench/out/."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "0.5", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("workload, frame_calls, steps", [
+    ("pipeline-21", 320, 440), ("refine-ladder", 448, 1456),
+])
+def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, steps):
+    # a counter or span whose target drmin no longer has drops its metric; one
+    # that drmin stops calling reads 0.  Per op, each RK4 stage of the march
+    # in synthesize and in path_independence calls frame_matrix once.
+    metrics = run_benchmark(workload, trace=1)
+    assert [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in metrics] == []
+    assert metrics["spaces.frame_matrix_calls"]["value"] == frame_calls
+    assert metrics["synthesis.rk4_steps"]["value"] == steps
+
+
+def test_benchmark_reports_every_end_to_end_metric():
+    metrics = run_benchmark("refine-ladder", trace=0)
+    assert [m["name"] for m in BENCHMARK["end_to_end"] if m["name"] not in metrics] == []

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from drmin.algebra import Kind
-from drmin.expr import WeierstrassData
+from drmin.expr import EvalError, WeierstrassData
 from drmin.presets import PRESETS, reference_error, reference_fields
 from drmin.spaces import Point, SpaceKind, SpaceModel
 from drmin.synthesis import (
     StepFailureError,
     SurfaceMesh,
     ValidationRefusedError,
+    _march,
     mesh_tangent_consistency,
     path_independence,
     synthesize,
@@ -109,6 +110,103 @@ class TestSynthesize:
         report = validate(S41, AXIS_PARA, SMALL)
         mesh = synthesize(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0), report=report)
         assert mesh.nodes.shape == (21, 21, 4)
+
+
+def oracle_rk4(rhs, y, coords, name):
+    """The per-stage march: psi evaluated through tangent_field at every stage."""
+    states = [y]
+    for a, b in zip(coords[:-1], coords[1:]):
+        h = b - a
+        try:
+            k1 = rhs(y, a)
+            k2 = rhs(y + 0.5 * h * k1, a + 0.5 * h)
+            k3 = rhs(y + 0.5 * h * k2, a + 0.5 * h)
+            k4 = rhs(y + h * k3, b)
+        except EvalError as exc:
+            raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise StepFailureError(f"non-finite state at {name} = {float(b)!r}")
+        states.append(y)
+    return np.stack(states)
+
+
+def oracle_march(s, w, grid, f0, transposed):
+    nodes = (grid.u_nodes, grid.v_nodes)
+    base = grid.base_index
+    first = 1 if transposed else 0
+    second = 1 - first
+
+    def sweep(state, axis, fixed):
+        def rhs(y, x):
+            uv = (x, fixed) if axis == 0 else (fixed, x)
+            return tangent_field(s, w, y, *uv)[axis]
+
+        coords, k = nodes[axis], base[axis]
+        ahead = oracle_rk4(rhs, state, coords[k:], "uv"[axis])
+        behind = oracle_rk4(rhs, state, coords[k::-1], "uv"[axis])
+        return np.concatenate([behind[:0:-1], ahead])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        line = sweep(np.asarray(f0, dtype=float), first, nodes[second][base[second]])
+        sheet = sweep(line, second, nodes[first])
+    return sheet if transposed else sheet.swapaxes(0, 1)
+
+
+def march_outcome(march, p, texts, grid, transposed):
+    """The mesh bytes, or the StepFailureError text, of one march."""
+    w = WeierstrassData.from_strings(texts, p.algebra)
+    try:
+        return march(p.model(), w, grid, p.f0, transposed).tobytes()
+    except StepFailureError as exc:
+        return str(exc)
+
+
+BASIC = PRESETS["s41-timelike-basic"]
+# on u in [0.23, 2.7] the lowest step's midpoint a + 0.5*h is 0.4358333333333334
+# marched upward (base node 0.23) and 0.43583333333333335 marched downward (base
+# node 2.7), which is also 0.5*(a + b)
+SKEWED_AHEAD, SKEWED_BEHIND = (DomainGrid(0.23, 2.7, -1, 1, 7, 7, u0, 0) for u0 in (0.23, 2.7))
+
+
+class TestLatticeMarchAgainstOracle:
+    """The march on a precomputed psi lattice against the per-stage march."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("n", [9, 21, 33])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_meshes_bit_identical(self, name, n, transposed):
+        p = PRESETS[name]
+        grid = p.grid.with_resolution(n, n)
+        got = march_outcome(_march, p, list(p.psi_texts), grid, transposed)
+        assert isinstance(got, bytes)
+        assert got == march_outcome(oracle_march, p, list(p.psi_texts), grid, transposed)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("slot, text, grid, expect", [
+        (0, "tau/u + 1/(u-1.5)", 9, "division failed"),  # a u node line
+        (0, "tau/u + 1/(u-1.45)", 11, "division failed"),  # the u midpoint 1.4 + 0.5*0.1
+        (0, "tau/u + 1/(v-0.25)", 9, "division failed"),  # a v node line
+        (0, "tau/u + 1/(v-0.125)", 9, "division failed"),  # a v midpoint ahead of v0
+        (0, "tau/u + 1/(v+0.125)", 9, "division failed"),  # a v midpoint behind v0
+        # midpoints taken per direction, to the last bit
+        (0, "tau/u + 1/(u-0.4358333333333334)", SKEWED_AHEAD, "division failed"),
+        (0, "tau/u + 1/(u-0.43583333333333335)", SKEWED_BEHIND, "division failed"),
+        # a midpoint and the next node in one step: the midpoint's stage raises first
+        (0, "tau/u + 1/(u-1.45) + 1/(u-1.5)", 11, "position 9"),
+        # a node row failing differently along it: its first node in row-major order
+        (0, "tau/u + 1/(v-0.25 + 100*(u-1)) + 1/(v-0.25)", 9, "position 9"),
+        (3, "u^60", 11, "non-finite state at u = 1.2"),  # a state that blows up
+    ], ids=["u-node", "u-mid", "v-node", "v-mid-ahead", "v-mid-behind", "skewed-ahead",
+            "skewed-behind", "stage-order", "row-order", "blow-up"])
+    def test_failures_identical(self, slot, text, grid, expect, transposed):
+        texts = list(BASIC.psi_texts)
+        texts[slot] = text
+        if isinstance(grid, int):
+            grid = BASIC.grid.with_resolution(grid, grid)
+        got = march_outcome(_march, BASIC, texts, grid, transposed)
+        assert isinstance(got, str) and expect in got
+        assert got == march_outcome(oracle_march, BASIC, texts, grid, transposed)
 
 
 class TestTranslationEquivariance:

@@ -132,7 +132,7 @@ class TestValidationVerdict:
             "    - harmonicity sup-norm 3.000e-10 exceeds 1.0e-10\n"
             "    - conformality sup-norm nan exceeds 1.0e-10\n"
             "    - degenerate (non-immersion): min |density| 5.000e-09 below floor 1.0e-08\n"
-            "    max residual near (u, v) = (1, 1)"
+            "    max residual near (u, v) = (1.5, 0)"
         )
 
     def test_fail_summary_names_worst_node(self):

@@ -228,6 +228,26 @@ class TestValidate:
         assert not report.node_ok.any()  # exp(1000*u) overflows for every u in [1, 2]
         assert "81 nodes failed to evaluate" in report.failures()
         assert "exp failed" in report.errors[0][2]
+        # no node evaluated, so the summary names no worst node
+        assert report.worst_node() is None
+        assert report.summary().endswith("verdict: FAIL\n    - 81 nodes failed to evaluate")
+
+    def test_worst_node_skips_masked_nodes(self):
+        # the pole line u = 1.5 is masked; the named node holds the harmonicity sup
+        p = PRESETS["s41-timelike-basic"]
+        texts = list(p.psi_texts)
+        texts[0] = f"{texts[0]} + 1/(u-1.5)"
+        w = WeierstrassData.from_strings(texts, p.algebra)
+        report = validate(p.model(), w, p.grid.with_resolution(9, 9))
+        assert not report.node_ok[4].any()  # u = 1.5
+        wu, wv = report.worst_node()
+        assert wu != 1.5
+        i, j = list(report.grid.u_nodes).index(wu), list(report.grid.v_nodes).index(wv)
+        assert report.node_ok[i, j]
+        worst = max(math.hypot(re, im) for re, im in
+                    zip(report.residual_re[:, i, j], report.residual_im[:, i, j]))
+        assert worst == report.harmonicity_sup
+        assert report.summary().endswith(f"max residual near (u, v) = ({wu:.6g}, {wv:.6g})")
 
     def test_nan_residual_fails(self):
         grid = DomainGrid(1, 2, -1, 1, 6, 6, 1, 0)
