@@ -148,11 +148,6 @@ def zero(kind: Kind) -> Scalar:
     return Scalar(0.0, 0.0, kind)
 
 
-def unit(kind: Kind) -> Scalar:
-    """The imaginary unit of the algebra (i or tau)."""
-    return Scalar(0.0, 1.0, kind)
-
-
 def conj(s: Scalar) -> Scalar:
     return Scalar(s.re, -s.im, s.kind)
 
@@ -181,23 +176,6 @@ def invert(s: Scalar) -> Scalar:
     if m == 0.0:
         raise ZeroDivisorError(f"{s.re} + tau*{s.im} has vanishing norm")
     return Scalar(s.re / m, -s.im / m, s.kind)
-
-
-def split_iso(s: Scalar) -> tuple[float, float]:
-    """Map a + tau*b to (a+b, a-b)/2, the split coordinates on R (+) R.
-
-    With this normalization products obey
-    split(s*t) = 2 * (split(s) .* split(t)) componentwise; the unscaled
-    pair (a+b, a-b) is the plain ring isomorphism.
-    """
-    if s.kind is not Kind.PARA:
-        raise KindMismatchError("split_iso is defined on paracomplex scalars only")
-    return (0.5 * (s.re + s.im), 0.5 * (s.re - s.im))
-
-
-def merge_split(p: float, q: float) -> Scalar:
-    """Inverse of split_iso: (p, q) -> (p+q) + tau*(p-q)."""
-    return Scalar(p + q, p - q, Kind.PARA)
 
 
 def _para_lift(fn, s: Scalar) -> Scalar:

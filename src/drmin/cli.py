@@ -234,17 +234,6 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read mesh file: {exc}")
         return EXIT_INPUT_ERROR
-    # the header's c is written by float_text, which round-trips exactly
-    header = {"space": (mesh.space, cfg.space.value), "c": (mesh.c, cfg.c),
-              "algebra": (mesh.kind.value, cfg.algebra.value)}
-    mismatches = [f"{key} {have} vs {want}" for key, (have, want) in header.items()
-                  if have != want]
-    if mismatches:
-        print(
-            f"mesh header does not match the configuration ({', '.join(mismatches)}); "
-            "refusing to verify against the wrong geometry"
-        )
-        return EXIT_INPUT_ERROR
     w = cfg.weierstrass()
     try:
         report = verify_mesh(cfg.model(), mesh, w)

@@ -266,46 +266,6 @@ def parse(text: str, kind: Kind) -> Expr:
     return _Parser(text, kind).parse()
 
 
-# -- printing ------------------------------------------------------------
-
-
-def _num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def print_expr(e: Expr, kind: Kind) -> str:
-    """Render a tree back to grammar text (fully parenthesized where needed)."""
-    if isinstance(e, Const):
-        if e.im == 0.0:
-            if e.re < 0:
-                return f"(-{_num(-e.re)})"
-            return _num(e.re)
-        raise ValueError("Const with unit part should be built as Mul(Const, Unit)")
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unit):
-        return kind.unit_symbol
-    if isinstance(e, Add):
-        return f"({print_expr(e.a, kind)} + {print_expr(e.b, kind)})"
-    if isinstance(e, Sub):
-        return f"({print_expr(e.a, kind)} - {print_expr(e.b, kind)})"
-    if isinstance(e, Mul):
-        return f"({print_expr(e.a, kind)} * {print_expr(e.b, kind)})"
-    if isinstance(e, Div):
-        return f"({print_expr(e.a, kind)} / {print_expr(e.b, kind)})"
-    if isinstance(e, Pow):
-        return f"({print_expr(e.base, kind)})^{e.n}" if e.n >= 0 else f"({print_expr(e.base, kind)})^-{-e.n}"
-    if isinstance(e, Neg):
-        return f"(-{print_expr(e.a, kind)})"
-    if isinstance(e, Conj):
-        return f"conj({print_expr(e.a, kind)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({print_expr(e.a, kind)})"
-    raise TypeError(type(e))
-
-
 # -- evaluation ----------------------------------------------------------
 
 _CALL_EVAL = {

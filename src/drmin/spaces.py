@@ -3,13 +3,16 @@
 Both models live on the global chart (x, y, z, t).  The first-kind model
 S41 puts the negative metric direction on the t-axis frame vector; the
 second-kind model S43 puts it on the central z-direction.  Each model
-ships three mutually checking descriptions of its geometry:
+has three descriptions of its geometry:
 
 * the coordinate metric tensor,
 * the orthonormal left-invariant frame (matrix A) with its exact
   connection structure constants (the L-table),
 * a finite-difference Christoffel oracle built only from the metric,
   independent of the tables.
+
+The frame connections that set the tables against the oracle are test
+code, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -115,23 +118,6 @@ def l_table(s: SpaceModel) -> dict[tuple[int, int, int], float]:
     }
 
 
-def l_entry(s: SpaceModel, i: int, j: int, k: int) -> float:
-    return l_table(s).get((i, j, k), 0.0)
-
-
-def frame_connection(s: SpaceModel, i: int, j: int) -> np.ndarray:
-    """Frame coefficients of nabla_{e_i} e_j, i.e. (1/2) L^k_ij over k."""
-    if not (1 <= i <= 4 and 1 <= j <= 4):
-        raise ValueError("frame indices are 1..4")
-    tab = l_table(s)
-    return np.array([0.5 * tab.get((i, j, k), 0.0) for k in (1, 2, 3, 4)])
-
-
-def lie_bracket_frame(s: SpaceModel, i: int, j: int) -> np.ndarray:
-    """[e_i, e_j] in frame coefficients, from torsion-freeness."""
-    return frame_connection(s, i, j) - frame_connection(s, j, i)
-
-
 def _fd_step(p: np.ndarray) -> np.ndarray:
     return 1e-5 * (1.0 + np.abs(p[..., 3]))
 
@@ -162,34 +148,3 @@ def christoffel_at(s: SpaceModel, p, h: float | None = None) -> np.ndarray:
     # Gamma^i_{jl} = (1/2) g^{im} (d_j g_ml + d_l g_mj - d_m g_jl)
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
     return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)
-
-
-def frame_connection_via_christoffel(
-    s: SpaceModel, p: Point, i: int, j: int, h: float | None = None
-) -> np.ndarray:
-    """Frame coefficients of nabla_{e_i} e_j computed in coordinates.
-
-    Uses only the finite-difference Christoffel oracle and numerical
-    derivatives of the frame matrix, then changes back to the frame.
-    Serves as the independent cross-check of frame_connection.
-    """
-    base = np.asarray(p, dtype=float)
-    if h is None:
-        h = float(_fd_step(base))
-    A = frame_matrix(s, base)
-    ei = A[:, i - 1]
-    # directional derivative of the column e_j along e_i
-    dcol = np.zeros(4)
-    for a in range(4):
-        if ei[a] == 0.0:
-            continue
-        plus = base.copy()
-        plus[a] += h
-        minus = base.copy()
-        minus[a] -= h
-        dA = (frame_matrix(s, plus) - frame_matrix(s, minus)) / (2.0 * h)
-        dcol = dcol + ei[a] * dA[:, j - 1]
-    gamma = christoffel_at(s, base, h)
-    ej = A[:, j - 1]
-    cov = dcol + np.einsum("ijl,j,l->i", gamma, ei, ej)
-    return np.linalg.solve(A, cov)

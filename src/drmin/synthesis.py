@@ -151,22 +151,6 @@ def _apply_frame(s: SpaceModel, p, psi) -> np.ndarray:
     return 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
 
 
-def tangent_field(
-    s: SpaceModel, w: WeierstrassData, p, u, v
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate tangents (f_u, f_v) at parameters (u, v) and positions p.
-
-    p has shape (..., 4); u and v broadcast against its leading shape.
-    Raises the EvalError of the first node (row-major) where psi fails.
-    """
-    p = np.asarray(p, dtype=float)
-    shape = p.shape[:-1]
-    ev = evaluate_grid(w.psi, np.broadcast_to(u, shape), np.broadcast_to(v, shape), w.kind)
-    ev.raise_first()
-    f = _apply_frame(s, p, _psi_values(ev))
-    return f[..., 0], f[..., 1]
-
-
 def _rk4(s, w, y, coords, fixed, axis: int) -> np.ndarray:
     """RK4 states at every value of coords along axis, starting from y at coords[0].
 
@@ -273,14 +257,3 @@ def path_independence(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMesh) -> f
     i0, j0 = mesh.grid.base_index
     other = _march(s, w, mesh.grid, mesh.nodes[i0, j0], transposed=True)
     return float(np.abs(mesh.nodes - other).max())
-
-
-def mesh_tangent_consistency(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMesh) -> float:
-    """Interior sup gap between central-difference mesh tangents and tangent_field."""
-    g = mesh.grid
-    inner = (slice(1, -1), slice(1, -1))
-    fu, fv = tangent_field(
-        s, w, mesh.nodes[inner], g.u_nodes[1:-1, None], g.v_nodes[None, 1:-1]
-    )
-    fu_fd, fv_fd = mesh.tangents()
-    return float(np.maximum(np.abs(fu_fd[inner] - fu).max(), np.abs(fv_fd[inner] - fv).max()))

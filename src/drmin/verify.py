@@ -170,10 +170,21 @@ def verify_mesh(
 
     When the component data is supplied, the report additionally checks
     the conformal-density identity 2 * density = E, which ties the
-    pointwise validation route to the synthesized geometry.
+    pointwise validation route to the synthesized geometry.  A mesh whose
+    header names another space or c than the model (or another algebra
+    than the data) raises ValueError.
     """
-    if mesh.space != s.name:
-        raise ValueError(f"mesh was synthesized in {mesh.space}, not {s.name}")
+    # the header's c is written by float_text, which round-trips exactly
+    header = {"space": (mesh.space, s.name), "c": (mesh.c, s.c)}
+    if w is not None:
+        header["algebra"] = (mesh.kind.value, w.kind.value)
+    mismatches = [f"{key} {have} vs {want}" for key, (have, want) in header.items()
+                  if have != want]
+    if mismatches:
+        raise ValueError(
+            f"mesh header does not match the configuration ({', '.join(mismatches)}); "
+            "refusing to verify against the wrong geometry"
+        )
     if mesh.grid.nu < 3 or mesh.grid.nv < 3:
         raise ValueError(
             f"verification needs at least 3x3 nodes (an interior), "

@@ -6,10 +6,12 @@ Three pointwise checks on a component quadruple psi_1..psi_4:
   must stay away from zero for the synthesized map to be an immersion;
 * condition_ii -- the isotropy sum sum_k eps_k psi_k^2, which must vanish
   for conformality;
-* the first-order harmonicity system, evaluated both in its generic
-  structure-constant form (driven by any L-table) and in the explicit
-  per-space four-equation form.  The two routes are algebraically equal;
-  computing both guards against transcription slips in either.
+* the first-order harmonicity system, which validate evaluates in its
+  generic structure-constant form (driven by any L-table) and
+  harmonicity_residual_explicit in the per-space four-equation form.  The
+  two routes are algebraically equal; computing both guards against
+  transcription slips in either.  The node-by-node generic route is test
+  code, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -150,21 +152,6 @@ def _bar_derivatives(w: WeierstrassData) -> tuple[expr.Expr, ...]:
     return tuple(expr.wirtinger_bar(p) for p in w.psi)
 
 
-def harmonicity_residual_generic(
-    L: dict[tuple[int, int, int], float],
-    w: WeierstrassData,
-    u: float,
-    v: float,
-) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """Residual r_k = dpsi_k/dzbar + (1/2) sum_ij L^k_ij conj(psi_i) psi_j."""
-    psi = w.eval_components(u, v)
-    bars = [expr.evaluate(d, u, v, w.kind) for d in _bar_derivatives(w)]
-    res = list(bars)
-    for (i, j, k), val in L.items():
-        res[k - 1] = res[k - 1] + 0.5 * val * (algebra.conj(psi[i - 1]) * psi[j - 1])
-    return tuple(res)
-
-
 def harmonicity_residual_explicit(
     s: SpaceModel, w: WeierstrassData, u: float, v: float
 ) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -296,8 +283,8 @@ def validate(
     Nodes where evaluation fails (poles, zero divisors, log domain,
     non-finite function values) are recorded and masked out instead of
     aborting the sweep; their fields read 0.  The arithmetic is that of
-    condition_i, condition_ii and harmonicity_residual_generic, one
-    array operation per Scalar operation.
+    condition_i, condition_ii and the node-by-node generic residual
+    (tests/oracles.py), one array operation per Scalar operation.
     """
     tolerances = tolerances or ValidationTolerances()
     u_nodes, v_nodes = grid.u_nodes, grid.v_nodes

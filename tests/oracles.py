@@ -1,0 +1,153 @@
+"""Second routes to what the package computes, called only by the tests.
+
+Each keeps the arithmetic it had in the package, so the tests compare
+against the same references: the frame connection from the L-table and
+from the Christoffel symbols, the node-by-node generic harmonicity
+residual, split coordinates, tree printing and the per-stage march.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from drmin import algebra, expr
+from drmin.algebra import Kind, KindMismatchError, Scalar
+from drmin.expr import Add, Call, Conj, Const, Div, Expr, Mul, Neg, Pow, Sub, Unit, Var
+from drmin.expr import WeierstrassData, evaluate_grid
+from drmin.spaces import Point, SpaceModel, _fd_step, christoffel_at, frame_matrix, l_table
+from drmin.synthesis import SurfaceMesh, _apply_frame, _psi_values
+
+
+def split_iso(s: Scalar) -> tuple[float, float]:
+    """Map a + tau*b to (a+b, a-b)/2, the split coordinates on R (+) R.
+
+    With this normalization products obey
+    split(s*t) = 2 * (split(s) .* split(t)) componentwise; the unscaled
+    pair (a+b, a-b) is the plain ring isomorphism.
+    """
+    if s.kind is not Kind.PARA:
+        raise KindMismatchError("split_iso is defined on paracomplex scalars only")
+    return (0.5 * (s.re + s.im), 0.5 * (s.re - s.im))
+
+
+def merge_split(p: float, q: float) -> Scalar:
+    """Inverse of split_iso: (p, q) -> (p+q) + tau*(p-q)."""
+    return Scalar(p + q, p - q, Kind.PARA)
+
+
+def _num(x: float) -> str:
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def print_expr(e: Expr, kind: Kind) -> str:
+    """Render a tree back to grammar text (fully parenthesized where needed)."""
+    if isinstance(e, Const):
+        if e.im == 0.0:
+            if e.re < 0:
+                return f"(-{_num(-e.re)})"
+            return _num(e.re)
+        raise ValueError("Const with unit part should be built as Mul(Const, Unit)")
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Unit):
+        return kind.unit_symbol
+    if isinstance(e, Add):
+        return f"({print_expr(e.a, kind)} + {print_expr(e.b, kind)})"
+    if isinstance(e, Sub):
+        return f"({print_expr(e.a, kind)} - {print_expr(e.b, kind)})"
+    if isinstance(e, Mul):
+        return f"({print_expr(e.a, kind)} * {print_expr(e.b, kind)})"
+    if isinstance(e, Div):
+        return f"({print_expr(e.a, kind)} / {print_expr(e.b, kind)})"
+    if isinstance(e, Pow):
+        return f"({print_expr(e.base, kind)})^{e.n}" if e.n >= 0 else f"({print_expr(e.base, kind)})^-{-e.n}"
+    if isinstance(e, Neg):
+        return f"(-{print_expr(e.a, kind)})"
+    if isinstance(e, Conj):
+        return f"conj({print_expr(e.a, kind)})"
+    if isinstance(e, Call):
+        return f"{e.fn}({print_expr(e.a, kind)})"
+    raise TypeError(type(e))
+
+
+def frame_connection(s: SpaceModel, i: int, j: int) -> np.ndarray:
+    """Frame coefficients of nabla_{e_i} e_j, i.e. (1/2) L^k_ij over k."""
+    if not (1 <= i <= 4 and 1 <= j <= 4):
+        raise ValueError("frame indices are 1..4")
+    tab = l_table(s)
+    return np.array([0.5 * tab.get((i, j, k), 0.0) for k in (1, 2, 3, 4)])
+
+
+def lie_bracket_frame(s: SpaceModel, i: int, j: int) -> np.ndarray:
+    """[e_i, e_j] in frame coefficients, from torsion-freeness."""
+    return frame_connection(s, i, j) - frame_connection(s, j, i)
+
+
+def frame_connection_via_christoffel(s: SpaceModel, p: Point, i: int, j: int) -> np.ndarray:
+    """Frame coefficients of nabla_{e_i} e_j computed in coordinates.
+
+    Uses only the finite-difference Christoffel oracle and numerical
+    derivatives of the frame matrix, then changes back to the frame.
+    Serves as the independent cross-check of frame_connection.
+    """
+    base = np.asarray(p, dtype=float)
+    h = float(_fd_step(base))
+    A = frame_matrix(s, base)
+    ei = A[:, i - 1]
+    # directional derivative of the column e_j along e_i
+    dcol = np.zeros(4)
+    for a in range(4):
+        if ei[a] == 0.0:
+            continue
+        plus = base.copy()
+        plus[a] += h
+        minus = base.copy()
+        minus[a] -= h
+        dA = (frame_matrix(s, plus) - frame_matrix(s, minus)) / (2.0 * h)
+        dcol = dcol + ei[a] * dA[:, j - 1]
+    gamma = christoffel_at(s, base, h)
+    ej = A[:, j - 1]
+    cov = dcol + np.einsum("ijl,j,l->i", gamma, ei, ej)
+    return np.linalg.solve(A, cov)
+
+
+def harmonicity_residual_generic(
+    L: dict[tuple[int, int, int], float],
+    w: WeierstrassData,
+    u: float,
+    v: float,
+) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """Residual r_k = dpsi_k/dzbar + (1/2) sum_ij L^k_ij conj(psi_i) psi_j."""
+    psi = w.eval_components(u, v)
+    bars = [expr.evaluate(expr.wirtinger_bar(p), u, v, w.kind) for p in w.psi]
+    res = list(bars)
+    for (i, j, k), val in L.items():
+        res[k - 1] = res[k - 1] + 0.5 * val * (algebra.conj(psi[i - 1]) * psi[j - 1])
+    return tuple(res)
+
+
+def tangent_field(s: SpaceModel, w: WeierstrassData, p, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate tangents (f_u, f_v) at parameters (u, v) and positions p.
+
+    p has shape (..., 4); u and v broadcast against its leading shape.
+    Raises the EvalError of the first node (row-major) where psi fails.
+    """
+    p = np.asarray(p, dtype=float)
+    shape = p.shape[:-1]
+    ev = evaluate_grid(w.psi, np.broadcast_to(u, shape), np.broadcast_to(v, shape), w.kind)
+    ev.raise_first()
+    f = _apply_frame(s, p, _psi_values(ev))
+    return f[..., 0], f[..., 1]
+
+
+def mesh_tangent_consistency(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMesh) -> float:
+    """Interior sup gap between central-difference mesh tangents and tangent_field."""
+    g = mesh.grid
+    inner = (slice(1, -1), slice(1, -1))
+    fu, fv = tangent_field(
+        s, w, mesh.nodes[inner], g.u_nodes[1:-1, None], g.v_nodes[None, 1:-1]
+    )
+    fu_fd, fv_fd = mesh.tangents()
+    return float(np.maximum(np.abs(fu_fd[inner] - fu).max(), np.abs(fv_fd[inner] - fv).max()))

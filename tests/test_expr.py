@@ -24,9 +24,9 @@ from drmin.expr import (
     diff,
     evaluate,
     parse,
-    print_expr,
     wirtinger_bar,
 )
+from oracles import print_expr
 
 
 class TestParse:

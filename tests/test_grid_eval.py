@@ -35,7 +35,6 @@ from drmin.expr import (
     evaluate,
     evaluate_grid,
     parse,
-    print_expr,
     wirtinger_bar,
 )
 from drmin.presets import PRESETS
@@ -44,9 +43,9 @@ from drmin.weierstrass import (
     DomainGrid,
     condition_i,
     condition_ii,
-    harmonicity_residual_generic,
     validate,
 )
+from oracles import harmonicity_residual_generic, print_expr
 
 RTOL = 1e-9
 # 9 nodes over [-1, 1]: u = 0, v = 0 and u = +/-v are nodes

@@ -12,12 +12,11 @@ from drmin.synthesis import (
     SurfaceMesh,
     ValidationRefusedError,
     _march,
-    mesh_tangent_consistency,
     path_independence,
     synthesize,
-    tangent_field,
 )
 from drmin.weierstrass import DomainGrid, validate
+from oracles import mesh_tangent_consistency, tangent_field
 
 S41 = SpaceModel(SpaceKind.FIRST, 1.0)
 S43 = SpaceModel(SpaceKind.SECOND, 1.0)

@@ -139,6 +139,21 @@ class TestVerifyMesh:
         with pytest.raises(ValueError):
             verify_mesh(S43, mesh)
 
+    def test_c_mismatch_rejected(self):
+        # a mesh made under c = 2, against the preset's c = 1 model
+        p = PRESETS["s41-timelike-basic"]
+        w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
+        mesh = synthesize(SpaceModel(p.space, 2.0), w, p.grid.with_resolution(9, 9), p.f0,
+                          force=True)
+        with pytest.raises(ValueError, match=r"\(c 2\.0 vs 1\.0\); refusing"):
+            verify_mesh(p.model(), mesh, w)
+
+    def test_algebra_mismatch_rejected_when_psi_given(self):
+        mesh = axis_mesh(9)
+        with pytest.raises(ValueError, match=r"\(algebra para vs complex\)"):
+            verify_mesh(S41, mesh, AXIS_COMPLEX)
+        assert verify_mesh(S41, mesh).density_gap is None  # no data, no algebra to compare
+
     def test_mesh_without_interior_rejected(self):
         mesh = synthesize(S41, AXIS_PARA, GRID.with_resolution(2, 9), Point(0, 2, 0, 0))
         with pytest.raises(ValueError, match="at least 3x3"):
