@@ -122,21 +122,26 @@ def _fd_step(p: np.ndarray) -> np.ndarray:
     return 1e-5 * (1.0 + np.abs(p[..., 3]))
 
 
-def metric_gradient_at(s: SpaceModel, p, h: float | None = None) -> np.ndarray:
-    """Central-difference coordinate gradient dg[..., a, i, j] = d_a g_ij."""
+def metric_gradient_at(s: SpaceModel, p) -> np.ndarray:
+    """Central-difference coordinate gradient dg[..., a, i, j] = d_a g_ij.
+
+    The eight shifted points p +- h*e_a form one batch of shape
+    (4, 2, ..., 4), so the metric is evaluated in a single call.
+    """
     p = np.asarray(p, dtype=float)
-    h = _fd_step(p) if h is None else np.broadcast_to(float(h), p.shape[:-1])
-    dg = np.zeros(p.shape[:-1] + (4, 4, 4))
+    h = _fd_step(p)
+    shifted = np.broadcast_to(p, (4, 2) + p.shape).copy()
     for a in range(4):
-        plus = p.copy()
-        plus[..., a] += h
-        minus = p.copy()
-        minus[..., a] -= h
-        dg[..., a, :, :] = (metric_at(s, plus) - metric_at(s, minus)) / (2.0 * h)[..., None, None]
+        shifted[a, 0, ..., a] += h
+        shifted[a, 1, ..., a] -= h
+    g = metric_at(s, shifted)
+    dg = np.empty(p.shape[:-1] + (4, 4, 4))
+    # written through a view with the shift axis first, dg keeps its (..., a, i, j) layout
+    np.divide(g[:, 0] - g[:, 1], (2.0 * h)[..., None, None], out=np.moveaxis(dg, -3, 0))
     return dg
 
 
-def christoffel_at(s: SpaceModel, p, h: float | None = None) -> np.ndarray:
+def christoffel_at(s: SpaceModel, p) -> np.ndarray:
     """Christoffel symbols Gamma[..., i, j, l] from the metric alone.
 
     Koszul formula with central-difference metric derivatives; this is
@@ -144,7 +149,7 @@ def christoffel_at(s: SpaceModel, p, h: float | None = None) -> np.ndarray:
     """
     g = metric_at(s, p)
     ginv = np.linalg.inv(g)
-    dg = metric_gradient_at(s, p, h)
+    dg = metric_gradient_at(s, p)
     # Gamma^i_{jl} = (1/2) g^{im} (d_j g_ml + d_l g_mj - d_m g_jl)
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
     return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)

@@ -24,6 +24,9 @@ DEGENERACY_BAND_SCALE = 1e-10
 # fixed absolute bounds on the interior sup-norms of the finite-difference defects
 CONFORMALITY_TOL = 1e-2
 TENSION_TOL = 1e-2
+# node budget of one Christoffel call in tension_residual; it keeps the
+# transient arrays of the finite-difference oracle to a fixed size
+CHRISTOFFEL_NODES = 256
 
 
 def causal_character(E, F, G):
@@ -57,7 +60,9 @@ def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
     Spacelike (complex) surfaces use the elliptic combination
     f_uu + f_vv + Gamma(f_u, f_u) + Gamma(f_v, f_v); timelike (para)
     surfaces the hyperbolic one with minus signs on the v-terms.
-    Vanishing tension is minimality for a conformal map.
+    Vanishing tension is minimality for a conformal map.  The Christoffel
+    field is evaluated in blocks of whole interior rows, each of at most
+    CHRISTOFFEL_NODES nodes (one row when a row alone is longer).
     """
     du, dv = mesh.spacing
     n = mesh.nodes
@@ -67,10 +72,13 @@ def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
     fvv = (n[1:-1, 2:] - 2.0 * mid + n[1:-1, :-2]) / (dv * dv)
     fu, fv = (f[1:-1, 1:-1] for f in mesh.tangents())
     quad = np.empty_like(mid)
-    for i, row in enumerate(mid):  # row by row keeps the Christoffel intermediates small
-        gamma = christoffel_at(s, row)
-        quad[i] = np.einsum("kijl,kj,kl->ki", gamma, fu[i], fu[i]) + sign * np.einsum(
-            "kijl,kj,kl->ki", gamma, fv[i], fv[i]
+    rows = max(1, CHRISTOFFEL_NODES // mid.shape[1])
+    for i in range(0, len(mid), rows):
+        block = slice(i, i + rows)
+        gamma = christoffel_at(s, mid[block])
+        a, b = fu[block], fv[block]
+        quad[block] = np.einsum("...ijl,...j,...l->...i", gamma, a, a) + sign * np.einsum(
+            "...ijl,...j,...l->...i", gamma, b, b
         )
     out = np.full(n.shape, np.nan)
     out[1:-1, 1:-1] = fuu + sign * fvv + quad

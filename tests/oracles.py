@@ -3,7 +3,9 @@
 Each keeps the arithmetic it had in the package, so the tests compare
 against the same references: the frame connection from the L-table and
 from the Christoffel symbols, the node-by-node generic harmonicity
-residual, split coordinates, tree printing and the per-stage march.
+residual, split coordinates, tree printing, the per-stage march, and the
+metric gradient and tension residual with one metric call per coordinate
+shift and one Christoffel call per interior row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from drmin import algebra, expr
 from drmin.algebra import Kind, KindMismatchError, Scalar
 from drmin.expr import Add, Call, Conj, Const, Div, Expr, Mul, Neg, Pow, Sub, Unit, Var
 from drmin.expr import WeierstrassData, evaluate_grid
-from drmin.spaces import Point, SpaceModel, _fd_step, christoffel_at, frame_matrix, l_table
+from drmin.spaces import (
+    Point, SpaceModel, _fd_step, christoffel_at, frame_matrix, l_table, metric_at,
+)
 from drmin.synthesis import SurfaceMesh, _apply_frame, _psi_values
 
 
@@ -107,7 +111,7 @@ def frame_connection_via_christoffel(s: SpaceModel, p: Point, i: int, j: int) ->
         minus[a] -= h
         dA = (frame_matrix(s, plus) - frame_matrix(s, minus)) / (2.0 * h)
         dcol = dcol + ei[a] * dA[:, j - 1]
-    gamma = christoffel_at(s, base, h)
+    gamma = christoffel_at(s, base)
     ej = A[:, j - 1]
     cov = dcol + np.einsum("ijl,j,l->i", gamma, ei, ej)
     return np.linalg.solve(A, cov)
@@ -151,3 +155,45 @@ def mesh_tangent_consistency(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMes
     )
     fu_fd, fv_fd = mesh.tangents()
     return float(np.maximum(np.abs(fu_fd[inner] - fu).max(), np.abs(fv_fd[inner] - fv).max()))
+
+
+def metric_gradient_by_axis(s: SpaceModel, p) -> np.ndarray:
+    """Central-difference dg[..., a, i, j] = d_a g_ij, two metric calls per axis a."""
+    p = np.asarray(p, dtype=float)
+    h = _fd_step(p)
+    dg = np.zeros(p.shape[:-1] + (4, 4, 4))
+    for a in range(4):
+        plus = p.copy()
+        plus[..., a] += h
+        minus = p.copy()
+        minus[..., a] -= h
+        dg[..., a, :, :] = (metric_at(s, plus) - metric_at(s, minus)) / (2.0 * h)[..., None, None]
+    return dg
+
+
+def _christoffel_by_axis(s: SpaceModel, p) -> np.ndarray:
+    g = metric_at(s, p)
+    ginv = np.linalg.inv(g)
+    dg = metric_gradient_by_axis(s, p)
+    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)
+
+
+def tension_residual_by_row(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
+    """verify.tension_residual with one Christoffel call per interior row."""
+    du, dv = mesh.spacing
+    n = mesh.nodes
+    sign = 1.0 if mesh.kind is Kind.COMPLEX else -1.0
+    mid = n[1:-1, 1:-1]
+    fuu = (n[2:, 1:-1] - 2.0 * mid + n[:-2, 1:-1]) / (du * du)
+    fvv = (n[1:-1, 2:] - 2.0 * mid + n[1:-1, :-2]) / (dv * dv)
+    fu, fv = (f[1:-1, 1:-1] for f in mesh.tangents())
+    quad = np.empty_like(mid)
+    for i, row in enumerate(mid):
+        gamma = _christoffel_by_axis(s, row)
+        quad[i] = np.einsum("kijl,kj,kl->ki", gamma, fu[i], fu[i]) + sign * np.einsum(
+            "kijl,kj,kl->ki", gamma, fv[i], fv[i]
+        )
+    out = np.full(n.shape, np.nan)
+    out[1:-1, 1:-1] = fuu + sign * fvv + quad
+    return out

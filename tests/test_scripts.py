@@ -81,17 +81,21 @@ def run_benchmark(workload, trace):
     return result["metrics"]
 
 
-@pytest.mark.parametrize("workload, frame_calls, steps", [
-    ("pipeline-21", 320, 440), ("refine-ladder", 448, 1456),
+@pytest.mark.parametrize("workload, frame_calls, steps, christoffel_calls", [
+    ("pipeline-21", 320, 440, 2), ("refine-ladder", 448, 1456, 6),
 ])
-def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, steps):
+def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, steps,
+                                                     christoffel_calls):
     # a counter or span whose target drmin no longer has drops its metric; one
     # that drmin stops calling reads 0.  Per op, each RK4 stage of the march
-    # in synthesize and in path_independence calls frame_matrix once.
+    # in synthesize and in path_independence calls frame_matrix once, and the
+    # tension makes one Christoffel call per block of at most 256 interior
+    # nodes (2 blocks at 21^2; 1, 1 and 4 at 9^2, 17^2 and 33^2).
     metrics = run_benchmark(workload, trace=1)
     assert [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in metrics] == []
     assert metrics["spaces.frame_matrix_calls"]["value"] == frame_calls
     assert metrics["synthesis.rk4_steps"]["value"] == steps
+    assert metrics["spaces.christoffel_at_calls"]["value"] == christoffel_calls
 
 
 def test_benchmark_reports_every_end_to_end_metric():

@@ -14,7 +14,12 @@ from drmin.spaces import (
     metric_at,
     metric_gradient_at,
 )
-from oracles import frame_connection, frame_connection_via_christoffel, lie_bracket_frame
+from oracles import (
+    frame_connection,
+    frame_connection_via_christoffel,
+    lie_bracket_frame,
+    metric_gradient_by_axis,
+)
 
 S41 = SpaceModel(SpaceKind.FIRST, 1.0)
 S43 = SpaceModel(SpaceKind.SECOND, 1.0)
@@ -190,3 +195,12 @@ class TestPointArrays:
                 got = fn(s, batch).reshape((6,) + fn(s, ORIGIN).shape)
                 for k, p in enumerate(pts):
                     assert np.allclose(got[k], fn(s, p), rtol=1e-13, atol=1e-13), fn.__name__
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_gradient_batch_equals_per_axis_loop(self, shape):
+        # the eight shifted metrics in one call take the same arithmetic as two calls per axis
+        rng = random.Random(13)
+        pts = np.array([p.as_array() for p in random_points(rng, math.prod(shape))])
+        pts = pts.reshape(shape + (4,))
+        for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
+            assert metric_gradient_at(s, pts).tobytes() == metric_gradient_by_axis(s, pts).tobytes()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from drmin import verify
 from drmin.algebra import Kind
 from drmin.expr import WeierstrassData
 from drmin.presets import PRESETS
@@ -13,6 +16,7 @@ from drmin.verify import (
     verify_mesh,
 )
 from drmin.weierstrass import DomainGrid
+from oracles import tension_residual_by_row
 
 S41 = SpaceModel(SpaceKind.FIRST, 1.0)
 S43 = SpaceModel(SpaceKind.SECOND, 1.0)
@@ -117,6 +121,73 @@ class TestTension:
         mesh.nodes[:, :, 2] += 3.0 * uu * uu
         tension = tension_residual(S41, mesh)
         assert float(np.abs(tension[1:-1, 1:-1]).max()) > 1.0
+
+
+def assert_matches_per_row(tmp_path, monkeypatch, s, mesh, w=None):
+    """Tension field, verification.csv and summary equal the per-row oracle's, byte for byte."""
+    assert tension_residual(s, mesh).tobytes() == tension_residual_by_row(s, mesh).tobytes()
+    outputs = []
+    for route in (verify.tension_residual, tension_residual_by_row):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "tension_residual", route)
+            report = verify_mesh(s, mesh, w)
+        path = tmp_path / f"{route.__name__}.csv"
+        report.to_csv(path)
+        outputs.append((path.read_bytes(), report.summary()))
+    assert outputs[0] == outputs[1]
+
+
+def christoffel_blocks(monkeypatch, s, mesh):
+    """Leading shapes of the points of each Christoffel call tension_residual makes."""
+    shapes = []
+    inner = verify.christoffel_at
+
+    def record(s, p):
+        shapes.append(p.shape[:-1])
+        return inner(s, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "christoffel_at", record)
+        tension_residual(s, mesh)
+    return shapes
+
+
+class TestBlockedTension:
+    @pytest.mark.parametrize("n", [9, 21, 33, 101])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_match_per_row_oracle(self, tmp_path, monkeypatch, name, n):
+        p = PRESETS[name]
+        w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
+        mesh = synthesize(p.model(), w, p.grid.with_resolution(n, n), p.f0, force=True)
+        assert_matches_per_row(tmp_path, monkeypatch, p.model(), mesh, w)
+
+    @pytest.mark.parametrize("nu, nv, blocks", [
+        (33, 33, [(8, 31)] * 3 + [(7, 31)]),  # the rows do not divide into blocks
+        (5, 300, [(1, 298)] * 3),  # a row is wider than the budget
+        (300, 5, [(85, 3)] * 3 + [(43, 3)]),
+        (3, 3, [(1, 1)]),
+    ])
+    def test_block_shapes_match_per_row_oracle(self, tmp_path, monkeypatch, nu, nv, blocks):
+        mesh = synthesize(S41, AXIS_PARA, GRID.with_resolution(nu, nv), Point(0, 2, 0, 0))
+        assert christoffel_blocks(monkeypatch, S41, mesh) == blocks
+        assert_matches_per_row(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
+
+    def test_nan_node_matches_per_row_oracle(self, tmp_path, monkeypatch):
+        mesh = axis_mesh(17)
+        mesh.nodes[8, 8, 0] = np.nan
+        assert_matches_per_row(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
+
+    def test_transient_memory_stays_flat(self):
+        # the blocks bound the oracle's intermediates: 3.7 MB at 129^2, where
+        # one unblocked call over the interior peaks at about 44 MB
+        mesh = axis_mesh(129)
+        tracemalloc.start()
+        try:
+            tension_residual(S41, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestVerifyMesh:
