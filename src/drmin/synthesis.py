@@ -4,7 +4,7 @@ The coordinate tangents are f_u = 2 Re(A(f) psi), f_v = 2 Im(A(f) psi),
 where A is the frame matrix evaluated along the (unknown) surface itself,
 so each grid line is an ODE in the four coordinates.  The mesh is built
 by classic RK4 marching: first along the u-row through the base point,
-then along all v-columns at once, as one stacked state.  Re-marching in
+then along all v-columns, each sweep both ways as one state.  Re-marching in
 the transposed order gives an independent integrability check: for
 genuine solutions the two meshes agree to integrator accuracy, for
 corrupted data they visibly diverge.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Kind
-from .expr import EvalError, GridEval, WeierstrassData, evaluate_grid
+from .expr import EvalError, WeierstrassData, evaluate_grid
 from .spaces import Point, SpaceModel, frame_matrix
 from .weierstrass import (
     DomainGrid,
@@ -141,53 +141,60 @@ class SurfaceMesh:
         )
 
 
-def _psi_values(ev: GridEval) -> np.ndarray:
-    """(..., 4, 2) array of the psi values (re, im) of a grid evaluation."""
-    return np.stack([np.stack(val, axis=-1) for val in ev.values], axis=-2)
-
-
-def _apply_frame(s: SpaceModel, p, psi) -> np.ndarray:
-    """2 A(p) psi as (..., 4, 2): its re and im parts are (f_u, f_v)."""
-    return 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
-
-
-def _rk4(s, w, y, coords, fixed, axis: int) -> np.ndarray:
-    """RK4 states at every value of coords along axis, starting from y at coords[0].
+def _rk4(s, w, y, runs, fixed, axis: int) -> list[np.ndarray]:
+    """RK4 states along each coordinate run, every run starting from y at its run[0].
 
     y holds one state per stacked line, shape (..., 4); the other parameter
-    is fixed (a scalar, or one value per line).  psi does not depend on the
-    state, so it is evaluated once, on the nodes and the step midpoints
-    a + 0.5*h of every line; each stage then only applies the frame.  A
-    node where psi fails raises when the stage that uses it runs.
+    is fixed (a scalar, or one value per line).  The runs march as one
+    stacked state, longest first, and a run that ends drops out.  psi is
+    evaluated once, on the nodes and step midpoints a + 0.5*h of every run
+    with a step; a stage then applies the frame column of the axis.  The
+    first failure of any run raises: a node where psi fails, when the stage
+    that uses it runs, or a non-finite state after its step.
     """
-    n = len(coords)
-    mids = coords[:-1] + 0.5 * (coords[1:] - coords[:-1])
-    x = np.concatenate([coords, mids]).reshape(-1, *[1] * (y.ndim - 1))
+    order = sorted(range(len(runs)), key=lambda r: -len(runs[r]))
+    coords = [runs[r] for r in order]  # the runs still marching are a prefix
+    last = np.array([len(c) - 1 for c in coords if len(c) > 1], dtype=int)
+    if not len(last):
+        return [y[None] for _ in runs]
+    n, stepped = last[0], coords[: len(last)]
+    x = np.concatenate([part for c in stepped for part in (c, c[:-1] + 0.5 * np.diff(c))])
+    x = x.reshape(-1, *[1] * (y.ndim - 1))
     ev = evaluate_grid(w.psi, *((x, fixed) if axis == 0 else (fixed, x)), w.kind)
-    psi = _psi_values(ev)
     bad = ev.bad.reshape(len(x), -1)
-    bad_rows = bad.any(axis=1).tolist()
+    # lattice row per (step i, stage, run): node i, midpoint i, node i + 1; clamped at the end
+    marching = np.arange(n)[:, None] < last
+    step = np.minimum(np.arange(n)[:, None], last - 1)
+    rows = np.cumsum([0, *(2 * last[:-1] + 1)]) + np.stack([step, last + 1 + step, step + 1], 1)
+    psi = np.stack([val[axis] for val in ev.values], axis=-1)[rows][..., None, :, None]
+    bad_at = (bad.any(axis=1)[rows] & marching[:, None]).tolist()
+    h = (x[rows[:, 2]] - x[rows[:, 0]])[..., None]
+    active = marching.sum(axis=1).tolist()
 
-    def stage(p, row):
-        if bad_rows[row]:
+    def stage(p, i, j):
+        if True in bad_at[i][j]:
+            row = int(rows[i, j, bad_at[i][j].index(True)])
             raise ev.first_errors[row * bad.shape[1] + int(np.flatnonzero(bad[row])[0])]
-        return _apply_frame(s, p, psi[row])[..., axis]
+        col = (frame_matrix(s, p)[..., :, :, None] * psi[i, j, : len(p)]).sum(axis=-2)
+        return 2.0 * col[..., 0]
 
-    states = [y]
-    for i in range(n - 1):
-        h = coords[i + 1] - coords[i]
+    out = np.empty((n + 1, len(runs), *y.shape))
+    out[0] = y
+    for i in range(n):
+        z, hi = out[i, : active[i]], h[i, : active[i]]
         try:
-            k1 = stage(y, i)  # node rows 0..n-1, midpoint rows n..2n-2
-            k2 = stage(y + 0.5 * h * k1, n + i)
-            k3 = stage(y + 0.5 * h * k2, n + i)
-            k4 = stage(y + h * k3, i + 1)
+            k1 = stage(z, i, 0)
+            k2 = stage(z + 0.5 * hi * k1, i, 1)
+            k3 = stage(z + 0.5 * hi * k2, i, 1)
+            k4 = stage(z + hi * k3, i, 2)
         except EvalError as exc:
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(coords[i + 1])!r}")
-        states.append(y)
-    return np.stack(states)
+        z = z + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)):
+            at = float(coords[int(np.isfinite(z.reshape(len(z), -1)).all(axis=1).argmin())][i + 1])
+            raise StepFailureError(f"non-finite state at {'uv'[axis]} = {at!r}")
+        out[i + 1, : active[i]] = z
+    return [out[: len(runs[r]), order.index(r)] for r in range(len(runs))]
 
 
 def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
@@ -202,12 +209,18 @@ def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
     second = 1 - first
 
     def sweep(state, axis, fixed):
-        # march out both ways from the base node along the given axis,
-        # with the other parameter held at fixed (a scalar or one per line);
-        # the midpoints are taken per direction, as reversed steps round differently
+        # march out both ways from the base node along the given axis, with the
+        # other parameter held at fixed (a scalar or one per line); the midpoints
+        # are taken per direction, as reversed steps round differently
         coords, k = nodes[axis], base[axis]
-        ahead = _rk4(s, w, state, coords[k:], fixed, axis)
-        behind = _rk4(s, w, state, coords[k::-1], fixed, axis)
+        runs = [coords[k:], coords[k::-1]]
+        try:
+            ahead, behind = _rk4(s, w, state, runs, fixed, axis)
+        except StepFailureError:
+            # raise what marching ahead, then behind, one at a time raises
+            for run in runs:
+                _rk4(s, w, state, [run], fixed, axis)
+            raise
         return np.concatenate([behind[:0:-1], ahead])
 
     # a state that blows up is caught after its step by _rk4's finiteness check

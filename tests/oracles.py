@@ -3,9 +3,11 @@
 Each keeps the arithmetic it had in the package, so the tests compare
 against the same references: the frame connection from the L-table and
 from the Christoffel symbols, the node-by-node generic harmonicity
-residual, split coordinates, tree printing, the per-stage march, and the
-metric gradient and tension residual with one metric call per coordinate
-shift and one Christoffel call per interior row.
+residual, split coordinates, tree printing, the per-stage march on the
+full two-column frame product (the package applies only the column a
+stage uses), and the metric gradient and tension residual with one
+metric call per coordinate shift and one Christoffel call per interior
+row.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import numpy as np
 from drmin import algebra, expr
 from drmin.algebra import Kind, KindMismatchError, Scalar
 from drmin.expr import Add, Call, Conj, Const, Div, Expr, Mul, Neg, Pow, Sub, Unit, Var
-from drmin.expr import WeierstrassData, evaluate_grid
+from drmin.expr import GridEval, WeierstrassData, evaluate_grid
 from drmin.spaces import (
     Point, SpaceModel, _fd_step, christoffel_at, frame_matrix, l_table, metric_at,
 )
-from drmin.synthesis import SurfaceMesh, _apply_frame, _psi_values
+from drmin.synthesis import SurfaceMesh
 
 
 def split_iso(s: Scalar) -> tuple[float, float]:
@@ -130,6 +132,16 @@ def harmonicity_residual_generic(
     for (i, j, k), val in L.items():
         res[k - 1] = res[k - 1] + 0.5 * val * (algebra.conj(psi[i - 1]) * psi[j - 1])
     return tuple(res)
+
+
+def _psi_values(ev: GridEval) -> np.ndarray:
+    """(..., 4, 2) array of the psi values (re, im) of a grid evaluation."""
+    return np.stack([np.stack(val, axis=-1) for val in ev.values], axis=-2)
+
+
+def _apply_frame(s: SpaceModel, p, psi) -> np.ndarray:
+    """2 A(p) psi as (..., 4, 2): its re and im parts are (f_u, f_v)."""
+    return 2.0 * (frame_matrix(s, p)[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2)
 
 
 def tangent_field(s: SpaceModel, w: WeierstrassData, p, u, v) -> tuple[np.ndarray, np.ndarray]:

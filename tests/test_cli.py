@@ -8,6 +8,7 @@ from drmin.cli import (
     EXIT_NUMERICAL_FAILURE,
     EXIT_PASS,
     ConfigError,
+    build_parser,
     config_from_preset,
     load_config,
     main,
@@ -398,3 +399,33 @@ class TestDeterminism:
         main(["synthesize", "--config", str(good_config), "--out", str(a)])
         main(["synthesize", "--config", str(good_config), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        # main parses every call with one parser: a call, even one that fails
+        # argument parsing, leaves nothing behind for the next
+        monkeypatch.chdir(tmp_path)
+        preset = ["--preset", "s41-timelike-basic"]
+        assert main(["synthesize", *preset, "--grid", "25x25", "--out", "mesh.csv"]) == EXIT_PASS
+        capsys.readouterr()
+        calls = [["validate", *preset, "--grid", SMALL], ["verify", "mesh.csv", "--grid"],
+                 ["verify", "mesh.csv", *preset]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        shared = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in shared] == [EXIT_PASS, 2, EXIT_PASS]
+        assert "expected one argument" in shared[1][2]
+        assert shared == fresh
+        assert build_parser() is build_parser()

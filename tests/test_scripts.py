@@ -82,15 +82,19 @@ def run_benchmark(workload, trace):
 
 
 @pytest.mark.parametrize("workload, frame_calls, steps, christoffel_calls", [
-    ("pipeline-21", 320, 440, 2), ("refine-ladder", 448, 1456, 6),
+    ("pipeline-21", 240, 440, 2), ("refine-ladder", 336, 1456, 6),
 ])
 def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, steps,
                                                      christoffel_calls):
     # a counter or span whose target drmin no longer has drops its metric; one
     # that drmin stops calling reads 0.  Per op, each RK4 stage of the march
-    # in synthesize and in path_independence calls frame_matrix once, and the
-    # tension makes one Christoffel call per block of at most 256 interior
-    # nodes (2 blocks at 21^2; 1, 1 and 4 at 9^2, 17^2 and 33^2).
+    # in synthesize and in path_independence calls frame_matrix once.  A stage
+    # serves both directions of a sweep, and the presets' base node is at u_min
+    # and at the v centre, so an n^2 march takes 4(n-1) stages on its u sweep
+    # and 2(n-1) on its v sweep, in either order: two marches of 120 at 21^2,
+    # one each of 48, 96 and 192 at 9^2, 17^2 and 33^2.  The tension makes one
+    # Christoffel call per block of at most 256 interior nodes (2 blocks at
+    # 21^2; 1, 1 and 4 at 9^2, 17^2 and 33^2).
     metrics = run_benchmark(workload, trace=1)
     assert [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in metrics] == []
     assert metrics["spaces.frame_matrix_calls"]["value"] == frame_calls

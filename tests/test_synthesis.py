@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from drmin import synthesis
 from drmin.algebra import Kind
 from drmin.expr import EvalError, WeierstrassData
 from drmin.presets import PRESETS, reference_error, reference_fields
@@ -168,18 +170,51 @@ BASIC = PRESETS["s41-timelike-basic"]
 SKEWED_AHEAD, SKEWED_BEHIND = (DomainGrid(0.23, 2.7, -1, 1, 7, 7, u0, 0) for u0 in (0.23, 2.7))
 
 
+def off_centre(grid, **base):
+    """The grid at 9x9 with its base node moved to the given u0 and/or v0."""
+    return dataclasses.replace(grid.with_resolution(9, 9), **base)
+
+
 class TestLatticeMarchAgainstOracle:
     """The march on a precomputed psi lattice against the per-stage march."""
 
     @pytest.mark.parametrize("transposed", [False, True])
-    @pytest.mark.parametrize("n", [9, 21, 33])
+    @pytest.mark.parametrize("n", [
+        9, 21, 33,
+        # the two directions of a sweep differ in length: the longer one ends alone
+        pytest.param(lambda grid: off_centre(grid, v0=-0.5), id="v0-below-centre"),
+        pytest.param(lambda grid: off_centre(grid, v0=0.5), id="v0-above-centre"),
+        pytest.param(lambda grid: off_centre(grid, u0=1.75, v0=-0.75),
+                     id="both-off-centre"),
+        pytest.param(lambda grid: SKEWED_AHEAD, id="skewed-ahead"),
+        pytest.param(lambda grid: SKEWED_BEHIND, id="skewed-behind"),
+    ])
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_meshes_bit_identical(self, name, n, transposed):
         p = PRESETS[name]
-        grid = p.grid.with_resolution(n, n)
+        grid = p.grid.with_resolution(n, n) if isinstance(n, int) else n(p.grid)
         got = march_outcome(_march, p, list(p.psi_texts), grid, transposed)
         assert isinstance(got, bytes)
         assert got == march_outcome(oracle_march, p, list(p.psi_texts), grid, transposed)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_one_psi_evaluation_per_sweep(self, name, transposed, monkeypatch):
+        # both directions of a sweep share one lattice; the u sweep's behind
+        # direction has no step at the presets' base node u_min, and evaluates nothing
+        grids = []
+        real = synthesis.evaluate_grid
+
+        def counted(trees, u, v, kind):
+            grids.append(np.broadcast(u, v).shape)
+            return real(trees, u, v, kind)
+
+        monkeypatch.setattr(synthesis, "evaluate_grid", counted)
+        p = PRESETS[name]
+        _march(p.model(), preset_data(p), p.grid.with_resolution(9, 9), p.f0, transposed)
+        # 9 nodes and 8 midpoints ahead; 5 + 4 each way along v
+        line, sheet = [(17,), (18, 9)] if not transposed else [(18,), (17, 9)]
+        assert grids == [line, sheet]
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("slot, text, grid, expect", [
@@ -196,8 +231,15 @@ class TestLatticeMarchAgainstOracle:
         # a node row failing differently along it: its first node in row-major order
         (0, "tau/u + 1/(v-0.25 + 100*(u-1)) + 1/(v-0.25)", 9, "position 9"),
         (3, "u^60", 11, "non-finite state at u = 1.2"),  # a state that blows up
+        # both directions of one sweep fail, behind at an earlier step: ahead's error stands
+        (0, "tau/u + 1/(v-0.75) + 2/(v+0.25)", 9, "position 9"),
+        (3, "1/u + 1/(v+0.25) + tau*(v+1)^60", 9, "non-finite state at v = 0.5"),
+        (0, "tau/u + 1/(v-0.5) + 2/(v+0.75)", off_centre(BASIC.grid, v0=-0.5), "position 9"),
+        # only behind fails, while the longer ahead direction marches on
+        (0, "tau/u + 1/(v+0.75)", off_centre(BASIC.grid, v0=-0.5), "position 9"),
     ], ids=["u-node", "u-mid", "v-node", "v-mid-ahead", "v-mid-behind", "skewed-ahead",
-            "skewed-behind", "stage-order", "row-order", "blow-up"])
+            "skewed-behind", "stage-order", "row-order", "blow-up", "both-poles",
+            "behind-pole-ahead-blow-up", "both-poles-off-centre", "behind-pole-off-centre"])
     def test_failures_identical(self, slot, text, grid, expect, transposed):
         texts = list(BASIC.psi_texts)
         texts[slot] = text
