@@ -312,36 +312,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the pointwise validity checks")
     add_config_args(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synthesize", help="integrate the data into a surface mesh")
     add_config_args(p)
     p.add_argument("--force", action="store_true", help="synthesize even if validation fails")
     p.add_argument("--out", help="output mesh CSV path")
-    p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="independently verify a synthesized mesh")
     p.add_argument("mesh", help="mesh CSV file")
     add_config_args(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export a mesh as CSV or OBJ geometry")
     p.add_argument("mesh", help="mesh CSV file")
     p.add_argument("--format", choices=("csv", "obj"), default="obj")
     p.add_argument("--projection", help="three of x,y,z,t for OBJ vertices, e.g. x,z,t")
     p.add_argument("--out", help="output path")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("examples", help="list built-in presets")
-    p.set_defaults(func=cmd_examples)
+    sub.add_parser("examples", help="list built-in presets")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on every call rather than bound into the once-built parser
+    command = {"validate": cmd_validate, "synthesize": cmd_synthesize, "verify": cmd_verify,
+               "export": cmd_export, "examples": cmd_examples}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, ExprError) as exc:
         print(f"input error: {exc}")
         return EXIT_INPUT_ERROR

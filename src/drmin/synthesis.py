@@ -145,15 +145,16 @@ def _rk4(s, w, y, runs, fixed, axis: int) -> list[np.ndarray]:
     """RK4 states along each coordinate run, every run starting from y at its run[0].
 
     y holds one state per stacked line, shape (..., 4); the other parameter
-    is fixed (a scalar, or one value per line).  The runs march as one
-    stacked state, longest first, and a run that ends drops out.  psi is
-    evaluated once, on the nodes and step midpoints a + 0.5*h of every run
-    with a step; a stage then applies the frame column of the axis.  The
-    first failure of any run raises: a node where psi fails, when the stage
-    that uses it runs, or a non-finite state after its step.
+    is fixed (a scalar, or one value per line).  The runs, one or a sweep's
+    two directions, march as one stacked state, the longer first, and a run
+    that ends drops out.  psi is evaluated once, on the nodes and step
+    midpoints a + 0.5*h of every run with a step; a stage then applies the
+    frame column of the axis.  A node where psi fails raises when the stage
+    that uses it runs, a non-finite state after its step.  The error text is
+    exact for one run; a stacked failure is replaced by sweep.
     """
-    order = sorted(range(len(runs)), key=lambda r: -len(runs[r]))
-    coords = [runs[r] for r in order]  # the runs still marching are a prefix
+    flip = len(runs) == 2 and len(runs[1]) > len(runs[0])
+    coords = runs[::-1] if flip else runs  # the runs still marching are a prefix
     last = np.array([len(c) - 1 for c in coords if len(c) > 1], dtype=int)
     if not len(last):
         return [y[None] for _ in runs]
@@ -191,10 +192,11 @@ def _rk4(s, w, y, runs, fixed, axis: int) -> list[np.ndarray]:
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
         z = z + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(z)):
-            at = float(coords[int(np.isfinite(z.reshape(len(z), -1)).all(axis=1).argmin())][i + 1])
+            at = float(coords[0][i + 1])
             raise StepFailureError(f"non-finite state at {'uv'[axis]} = {at!r}")
         out[i + 1, : active[i]] = z
-    return [out[: len(runs[r]), order.index(r)] for r in range(len(runs))]
+    out = [out[: len(c), r] for r, c in enumerate(coords)]
+    return out[::-1] if flip else out
 
 
 def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:

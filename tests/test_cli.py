@@ -429,3 +429,13 @@ class TestParserReuse:
         assert "expected one argument" in shared[1][2]
         assert shared == fresh
         assert build_parser() is build_parser()
+
+    def test_command_looked_up_per_call(self, monkeypatch, capsys):
+        # a cmd_* rebound after the parser was built is the one main runs
+        import drmin.cli
+
+        assert main(["examples"]) == EXIT_PASS
+        calls = []
+        monkeypatch.setattr(drmin.cli, "cmd_examples", lambda args: calls.append(args) or 7)
+        assert main(["examples"]) == 7
+        assert [args.command for args in calls] == ["examples"]

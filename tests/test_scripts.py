@@ -100,6 +100,9 @@ def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, step
     assert metrics["spaces.frame_matrix_calls"]["value"] == frame_calls
     assert metrics["synthesis.rk4_steps"]["value"] == steps
     assert metrics["spaces.christoffel_at_calls"]["value"] == christoffel_calls
+    if workload == "pipeline-21":  # the workload that runs the CLI: its spans must see it
+        cli = ["cli.validate_s", "cli.synthesize_s", "cli.verify_s", "cli.export_s", "cli.self_s"]
+        assert [name for name in cli if not metrics[name]["value"] > 0] == []
 
 
 def test_benchmark_reports_every_end_to_end_metric():
