@@ -4,7 +4,9 @@ The coordinate tangents are f_u = 2 Re(A(f) psi), f_v = 2 Im(A(f) psi),
 where A is the frame matrix evaluated along the (unknown) surface itself,
 so each grid line is an ODE in the four coordinates.  The mesh is built
 by classic RK4 marching: first along the u-row through the base point,
-then along all v-columns, each sweep both ways as one state.  Re-marching in
+then along all v-columns, each sweep both ways at once.  A is the frame
+of R acting on the Heisenberg group (z its centre), so it is triangular
+and RK4 runs as quadratures: t, then x and y, then z.  Re-marching in
 the transposed order gives an independent integrability check: for
 genuine solutions the two meshes agree to integrator accuracy, for
 corrupted data they visibly diverge.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Kind
-from .expr import EvalError, WeierstrassData, evaluate_grid
+from .expr import WeierstrassData, evaluate_grid
 from .spaces import Point, SpaceModel, frame_matrix
 from .weierstrass import (
     DomainGrid,
@@ -46,6 +48,7 @@ class StepFailureError(SynthesisError):
 
 
 MESH_CSV_COLUMNS = ("u", "v", "x", "y", "z", "t")
+FRAME_POINTS = 2048  # points per frame_matrix call in the march; bounds its (..., 4, 4) result
 
 
 @dataclass
@@ -142,61 +145,64 @@ class SurfaceMesh:
 
 
 def _rk4(s, w, y, runs, fixed, axis: int) -> list[np.ndarray]:
-    """RK4 states along each coordinate run, every run starting from y at its run[0].
+    """RK4 states along each coordinate run, all runs starting from y at the base node.
 
     y holds one state per stacked line, shape (..., 4); the other parameter
-    is fixed (a scalar, or one value per line).  The runs, one or a sweep's
-    two directions, march as one stacked state, the longer first, and a run
-    that ends drops out.  psi is evaluated once, on the nodes and step
-    midpoints a + 0.5*h of every run with a step; a stage then applies the
-    frame column of the axis.  A node where psi fails raises when the stage
-    that uses it runs, a non-finite state after its step.  The error text is
-    exact for one run; a stacked failure is replaced by sweep.
+    is fixed (a scalar, or one value per line).  The frame's t row is
+    constant, its x and y rows read t and its z row x, y and t, so one pass
+    per level marches every step of every run, and np.add.accumulate sums
+    a run's increments in marching order.  psi is evaluated once, on the
+    base node and every later node and step midpoint a + 0.5*h.  A run
+    fails at its first stage reading a node where psi fails or its first
+    non-finite state, the first run first.
     """
-    flip = len(runs) == 2 and len(runs[1]) > len(runs[0])
-    coords = runs[::-1] if flip else runs  # the runs still marching are a prefix
-    last = np.array([len(c) - 1 for c in coords if len(c) > 1], dtype=int)
-    if not len(last):
-        return [y[None] for _ in runs]
-    n, stepped = last[0], coords[: len(last)]
-    x = np.concatenate([part for c in stepped for part in (c, c[:-1] + 0.5 * np.diff(c))])
+    n = [len(c) - 1 for c in runs]
+    steps = sum(n)
+    x = np.concatenate([runs[0][:1], *(c[1:] for c in runs),
+                        *(c[:-1] + 0.5 * np.diff(c) for c in runs)])
     x = x.reshape(-1, *[1] * (y.ndim - 1))
     ev = evaluate_grid(w.psi, *((x, fixed) if axis == 0 else (fixed, x)), w.kind)
-    bad = ev.bad.reshape(len(x), -1)
-    # lattice row per (step i, stage, run): node i, midpoint i, node i + 1; clamped at the end
-    marching = np.arange(n)[:, None] < last
-    step = np.minimum(np.arange(n)[:, None], last - 1)
-    rows = np.cumsum([0, *(2 * last[:-1] + 1)]) + np.stack([step, last + 1 + step, step + 1], 1)
-    psi = np.stack([val[axis] for val in ev.values], axis=-1)[rows][..., None, :, None]
-    bad_at = (bad.any(axis=1)[rows] & marching[:, None]).tolist()
-    h = (x[rows[:, 2]] - x[rows[:, 0]])[..., None]
-    active = marching.sum(axis=1).tolist()
+    bad_row = ev.bad.reshape(len(x), -1).any(axis=1)
+    # the lattice row of each stage of each step, run after run: node,
+    # midpoint twice, next node; a run's first step starts at the base row 0
+    nxt = np.arange(1, steps + 1)
+    node = np.where(np.concatenate([np.arange(m) == 0 for m in n]), 0, nxt - 1)
+    rows = np.stack([node, steps + nxt, steps + nxt, nxt])
+    psi = np.stack([val[axis] for val in ev.values], axis=-1)[rows]
+    h = (x[nxt] - x[node])[..., None]
+    split = np.cumsum(n)[:-1]
+    outs = [np.empty((m + 1, *y.shape)) for m in n]
+    at = np.zeros((4, steps, *y.shape))  # the stage points, filled level by level
 
-    def stage(p, i, j):
-        if True in bad_at[i][j]:
-            row = int(rows[i, j, bad_at[i][j].index(True)])
-            raise ev.first_errors[row * bad.shape[1] + int(np.flatnonzero(bad[row])[0])]
-        col = (frame_matrix(s, p)[..., :, :, None] * psi[i, j, : len(p)]).sum(axis=-2)
-        return 2.0 * col[..., 0]
+    def level(cols, frames):
+        k = np.stack([2.0 * (a[..., cols, :, None] * p[..., None, :, None]).sum(axis=-2)[..., 0]
+                      for a, p in zip(frames, psi)])
+        inc = (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+        for out, part in zip(outs, np.split(inc, split)):
+            out[..., cols] = np.add.accumulate(np.concatenate([y[None, ..., cols], part]))
+        start = np.concatenate([out[:-1, ..., cols] for out in outs])  # each step's state
+        at[0, ..., cols] = start
+        at[1:3, ..., cols] = start + 0.5 * h * k[:2]
+        at[3, ..., cols] = start + h * k[2]
 
-    out = np.empty((n + 1, len(runs), *y.shape))
-    out[0] = y
-    for i in range(n):
-        z, hi = out[i, : active[i]], h[i, : active[i]]
-        try:
-            k1 = stage(z, i, 0)
-            k2 = stage(z + 0.5 * hi * k1, i, 1)
-            k3 = stage(z + 0.5 * hi * k2, i, 1)
-            k4 = stage(z + hi * k3, i, 2)
-        except EvalError as exc:
+    def frames():  # at most FRAME_POINTS stage points, or one stage, per call
+        per = max(1, FRAME_POINTS // (steps * y[..., 0].size))
+        return (a for j in range(0, 4, per) for a in frame_matrix(s, at[j:j + per]))
+
+    level(slice(3, 4), [frame_matrix(s, y)] * 4)  # t: the frame's t row is constant
+    level(slice(0, 2), frames())
+    level(slice(2, 3), frames())
+    for run, out, r in zip(runs, outs, np.split(rows, split, axis=1)):
+        # per step: its four stages' psi rows, then the state it reaches
+        blown = ~np.isfinite(out[1:]).all(axis=tuple(range(1, out.ndim)))
+        events = np.column_stack([bad_row[r].T, blown])
+        if events.any():
+            i, j = divmod(int(events.argmax()), 5)
+            if j == 4:
+                raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(run[i + 1])!r}")
+            exc = next(e for k, e in ev.errors() if k[0] == r[j, i])
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
-        z = z + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            at = float(coords[0][i + 1])
-            raise StepFailureError(f"non-finite state at {'uv'[axis]} = {at!r}")
-        out[i + 1, : active[i]] = z
-    out = [out[: len(c), r] for r, c in enumerate(coords)]
-    return out[::-1] if flip else out
+    return outs
 
 
 def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
@@ -215,17 +221,11 @@ def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
         # other parameter held at fixed (a scalar or one per line); the midpoints
         # are taken per direction, as reversed steps round differently
         coords, k = nodes[axis], base[axis]
-        runs = [coords[k:], coords[k::-1]]
-        try:
-            ahead, behind = _rk4(s, w, state, runs, fixed, axis)
-        except StepFailureError:
-            # raise what marching ahead, then behind, one at a time raises
-            for run in runs:
-                _rk4(s, w, state, [run], fixed, axis)
-            raise
+        ahead, behind = _rk4(s, w, state, [coords[k:], coords[k::-1]], fixed, axis)
         return np.concatenate([behind[:0:-1], ahead])
 
-    # a state that blows up is caught after its step by _rk4's finiteness check
+    # a state that blows up, and every state marched on from it, is caught by
+    # _rk4's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         line = sweep(np.asarray(f0, dtype=float), first, nodes[second][base[second]])
         sheet = sweep(line, second, nodes[first])

@@ -82,19 +82,20 @@ def run_benchmark(workload, trace):
 
 
 @pytest.mark.parametrize("workload, frame_calls, steps, christoffel_calls", [
-    ("pipeline-21", 240, 440, 2), ("refine-ladder", 336, 1456, 6),
+    ("pipeline-21", 12, 440, 2), ("refine-ladder", 24, 1456, 6),
 ])
 def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, steps,
                                                      christoffel_calls):
     # a counter or span whose target drmin no longer has drops its metric; one
-    # that drmin stops calling reads 0.  Per op, each RK4 stage of the march
-    # in synthesize and in path_independence calls frame_matrix once.  A stage
-    # serves both directions of a sweep, and the presets' base node is at u_min
-    # and at the v centre, so an n^2 march takes 4(n-1) stages on its u sweep
-    # and 2(n-1) on its v sweep, in either order: two marches of 120 at 21^2,
-    # one each of 48, 96 and 192 at 9^2, 17^2 and 33^2.  The tension makes one
-    # Christoffel call per block of at most 256 interior nodes (2 blocks at
-    # 21^2; 1, 1 and 4 at 9^2, 17^2 and 33^2).
+    # that drmin stops calling reads 0.  A sweep marches both its directions
+    # level by level (t, x and y, z) and calls frame_matrix once for its t
+    # level and, for each other level, once per synthesis.FRAME_POINTS (2048)
+    # stage points, or once per stage where one stage holds more.  Up to 21^2
+    # a march makes 6 calls; at 33^2 its sweep of 33 lines of 32 steps makes
+    # 1 + 4 + 4, so 12.  So an op makes 12 (two marches at 21^2) or 24 (one
+    # each at 9^2, 17^2 and 33^2).  The tension makes one Christoffel call per
+    # block of at most 256 interior nodes (2 blocks at 21^2; 1, 1 and 4 at
+    # 9^2, 17^2 and 33^2).
     metrics = run_benchmark(workload, trace=1)
     assert [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in metrics] == []
     assert metrics["spaces.frame_matrix_calls"]["value"] == frame_calls

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from drmin import synthesis
+from drmin import spaces, synthesis
 from drmin.algebra import Kind
 from drmin.expr import EvalError, WeierstrassData
 from drmin.presets import PRESETS, reference_error, reference_fields
@@ -175,6 +176,14 @@ def off_centre(grid, **base):
     return dataclasses.replace(grid.with_resolution(9, 9), **base)
 
 
+# (preset, psi texts): the presets' psi depend on u alone, the last row on v too
+MARCH_DATA = [
+    pytest.param(name, list(p.psi_texts), id=name) for name, p in sorted(PRESETS.items())
+]
+MARCH_DATA.append(pytest.param("s41-timelike-basic", ["tau/u + 1e-4*v", "0", "0", "1/u"],
+                               id="s41-timelike-basic-v"))
+
+
 class TestLatticeMarchAgainstOracle:
     """The march on a precomputed psi lattice against the per-stage march."""
 
@@ -189,19 +198,19 @@ class TestLatticeMarchAgainstOracle:
         pytest.param(lambda grid: SKEWED_AHEAD, id="skewed-ahead"),
         pytest.param(lambda grid: SKEWED_BEHIND, id="skewed-behind"),
     ])
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_meshes_bit_identical(self, name, n, transposed):
+    @pytest.mark.parametrize("name, texts", MARCH_DATA)
+    def test_meshes_bit_identical(self, name, texts, n, transposed):
         p = PRESETS[name]
         grid = p.grid.with_resolution(n, n) if isinstance(n, int) else n(p.grid)
-        got = march_outcome(_march, p, list(p.psi_texts), grid, transposed)
+        got = march_outcome(_march, p, texts, grid, transposed)
         assert isinstance(got, bytes)
-        assert got == march_outcome(oracle_march, p, list(p.psi_texts), grid, transposed)
+        assert got == march_outcome(oracle_march, p, texts, grid, transposed)
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_one_psi_evaluation_per_sweep(self, name, transposed, monkeypatch):
-        # both directions of a sweep share one lattice; the u sweep's behind
-        # direction has no step at the presets' base node u_min, and evaluates nothing
+        # both directions of a sweep share one lattice and its base row; the u
+        # sweep's behind direction has no step at the presets' base node u_min
         grids = []
         real = synthesis.evaluate_grid
 
@@ -212,9 +221,9 @@ class TestLatticeMarchAgainstOracle:
         monkeypatch.setattr(synthesis, "evaluate_grid", counted)
         p = PRESETS[name]
         _march(p.model(), preset_data(p), p.grid.with_resolution(9, 9), p.f0, transposed)
-        # 9 nodes and 8 midpoints ahead; 5 + 4 each way along v
-        line, sheet = [(17,), (18, 9)] if not transposed else [(18,), (17, 9)]
-        assert grids == [line, sheet]
+        # along u 9 nodes and 8 midpoints ahead; along v the base node, then
+        # 4 nodes and 4 midpoints each way
+        assert grids == [(17,), (17, 9)]
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("slot, text, grid, expect", [
@@ -231,6 +240,13 @@ class TestLatticeMarchAgainstOracle:
         # a node row failing differently along it: its first node in row-major order
         (0, "tau/u + 1/(v-0.25 + 100*(u-1)) + 1/(v-0.25)", 9, "position 9"),
         (3, "u^60", 11, "non-finite state at u = 1.2"),  # a state that blows up
+        (1, "1/(u-1.5)", 9, "division failed"),  # a pole in psi2, which the x, y level reads
+        # psi3 finite, but z's slope overflows, while x, y and t stay finite
+        (2, "1e306*u^20", 9, "non-finite state at u = 1.25"),
+        # one direction blows up at v = 0.5 (step 1) and reads a pole: at the next
+        # node (step 2, k4), or at v = 0.5 itself (step 1, k4, before its state)
+        (3, "1/u + tau*(v+1)^60 + tau/(v-0.75)", 9, "non-finite state at v = 0.5"),
+        (3, "1/u + tau*(v+1)^60 + tau/(v-0.5)", 9, "position 24"),
         # both directions of one sweep fail, behind at an earlier step: ahead's error stands
         (0, "tau/u + 1/(v-0.75) + 2/(v+0.25)", 9, "position 9"),
         (3, "1/u + 1/(v+0.25) + tau*(v+1)^60", 9, "non-finite state at v = 0.5"),
@@ -238,7 +254,8 @@ class TestLatticeMarchAgainstOracle:
         # only behind fails, while the longer ahead direction marches on
         (0, "tau/u + 1/(v+0.75)", off_centre(BASIC.grid, v0=-0.5), "position 9"),
     ], ids=["u-node", "u-mid", "v-node", "v-mid-ahead", "v-mid-behind", "skewed-ahead",
-            "skewed-behind", "stage-order", "row-order", "blow-up", "both-poles",
+            "skewed-behind", "stage-order", "row-order", "blow-up", "psi2-pole", "z-blow-up",
+            "blow-up-then-pole", "pole-then-blow-up", "both-poles",
             "behind-pole-ahead-blow-up", "both-poles-off-centre", "behind-pole-off-centre"])
     def test_failures_identical(self, slot, text, grid, expect, transposed):
         texts = list(BASIC.psi_texts)
@@ -248,6 +265,29 @@ class TestLatticeMarchAgainstOracle:
         got = march_outcome(_march, BASIC, texts, grid, transposed)
         assert isinstance(got, str) and expect in got
         assert got == march_outcome(oracle_march, BASIC, texts, grid, transposed)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_frame_read_through_synthesis(self, transposed, monkeypatch):
+        # the march applies the frame only through the frame_matrix that
+        # synthesis imports: a c -> -c mutant patched there moves the mesh
+        grid = BASIC.grid.with_resolution(9, 9)
+        genuine = march_outcome(_march, BASIC, list(BASIC.psi_texts), grid, transposed)
+        monkeypatch.setattr(synthesis, "frame_matrix",
+                            lambda s, p: spaces.frame_matrix(dataclasses.replace(s, c=-s.c), p))
+        mutant = march_outcome(_march, BASIC, list(BASIC.psi_texts), grid, transposed)
+        assert isinstance(mutant, bytes) and mutant != genuine
+
+    def test_transient_memory_stays_flat(self):
+        # FRAME_POINTS bounds the frame of the stage points: about 12 MB at
+        # 129^2, where one frame call on all four stages peaks at about 17.5 MB
+        grid = BASIC.grid.with_resolution(129, 129)
+        tracemalloc.start()
+        try:
+            _march(BASIC.model(), preset_data(BASIC), grid, BASIC.f0, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestTranslationEquivariance:
