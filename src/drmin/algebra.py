@@ -245,8 +245,13 @@ def cosh_scalar(s: Scalar) -> Scalar:
 
 
 def mul_arrays(a, b, sigma: float):
-    """a * b, associated as in Scalar.__mul__ (a real factor x is (x, 0.0))."""
-    return a[0] * b[0] + sigma * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+    """a * b, associated as in Scalar.__mul__ (a real factor x is (x, 0.0)).
+
+    sigma is +/-1, so (sigma * a1) * b1 is exactly +/-(a1 * b1) and the
+    sign folds into the sum; only the sign bit of a NaN may differ.
+    """
+    re = (np.subtract if sigma < 0 else np.add)(a[0] * b[0], a[1] * b[1])
+    return re, a[0] * b[1] + a[1] * b[0]
 
 
 def invert_arrays(a, kind: Kind):

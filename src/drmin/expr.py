@@ -293,17 +293,8 @@ def evaluate(e: Expr, u: float, v: float, kind: Kind) -> Scalar:
         return Scalar(u if e.name == "u" else v, 0.0, kind)
     if isinstance(e, Unit):
         return Scalar(0.0, 1.0, kind)
-    return _apply(e, [evaluate(a, u, v, kind) for a in _operands(e)], kind)
-
-
-def _operands(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return (e.a, e.b)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Neg, Conj, Call)):
-        return (e.a,)
-    raise TypeError(type(e))
+    operands = [a for a in vars(e).values() if isinstance(a, Expr)]  # in field order
+    return _apply(e, [evaluate(a, u, v, kind) for a in operands], kind)
 
 
 def _finite(s: Scalar) -> bool:
@@ -365,8 +356,10 @@ class GridEval:
     """Values of several trees over a grid of nodes, with the failed nodes.
 
     values[k] is the (re, im) pair of float arrays of tree k; at a bad
-    node its entries are unspecified.  bad is True exactly where
-    evaluate raises EvalError for one of the trees, taken in order.
+    node its entries are unspecified.  The arrays are read-only and may
+    share memory: one array serves each subtree object and each constant
+    value.  bad is True exactly where evaluate raises EvalError for one
+    of the trees, taken in order.
     """
 
     values: list[tuple[np.ndarray, np.ndarray]]
@@ -375,10 +368,8 @@ class GridEval:
 
     def errors(self) -> list[tuple[tuple[int, ...], EvalError]]:
         """(node index, EvalError) of every bad node, in row-major order."""
-        return [
-            (tuple(int(i) for i in np.unravel_index(k, self.bad.shape)), self.first_errors[k])
-            for k in np.flatnonzero(self.bad)
-        ]
+        nodes = zip(np.argwhere(self.bad).tolist(), np.flatnonzero(self.bad).tolist())
+        return [(tuple(index), self.first_errors[k]) for index, k in nodes]
 
     def raise_first(self) -> None:
         """Raise the EvalError of the first bad node in row-major order, if any."""
@@ -401,75 +392,64 @@ def evaluate_grid(trees, u, v, kind: Kind) -> GridEval:
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     ev = _GridEvaluator(u.ravel(), v.ravel(), kind)
     with np.errstate(all="ignore"):
-        values = [ev.eval(t) for t in trees]
-    return GridEval(
-        values=[(re.reshape(u.shape), im.reshape(u.shape)) for re, im in values],
-        bad=ev.bad.reshape(u.shape),
-        first_errors=ev.first_errors,
-    )
+        values = [tuple(a.reshape(u.shape) for a in ev.eval(t)) for t in trees]
+    for pair in values:
+        for a in pair:
+            a.flags.writeable = False
+    return GridEval(values=values, bad=ev.bad.reshape(u.shape), first_errors=ev.first_errors)
 
 
 class _GridEvaluator:
-    """Post-order evaluation over flat node arrays, shared subtrees once."""
+    """Post-order evaluation over flat node arrays, each distinct subtree once.
+
+    _GRID_OPS maps each node type to its operation; constants of one value
+    share one read-only array.
+    """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, kind: Kind):
-        self.u, self.v, self.kind = u, v, kind
+        self.u, self.v, self.kind, self.sigma = u, v, kind, kind.sigma
         self.bad = np.zeros(u.shape, dtype=bool)
         self.first_errors = {}
         self.memo = {}  # id(node) -> (node, value); holding node keeps its id unique
+        self.fills = {}  # (x, sign of x) -> array of x; the sign keeps -0.0 apart
 
     def eval(self, e: Expr):
         hit = self.memo.get(id(e))
         if hit is None:
-            hit = self.memo[id(e)] = (e, self._node(e))
+            hit = self.memo[id(e)] = (e, _GRID_OPS[type(e)](self, e))
         return hit[1]
 
-    def _full(self, x: float) -> np.ndarray:
-        return np.full(self.u.shape, x)
-
-    def _node(self, e: Expr):
-        if isinstance(e, Const):
-            return self._full(e.re), self._full(e.im)
-        if isinstance(e, Var):
-            return (self.u if e.name == "u" else self.v), self._full(0.0)
-        if isinstance(e, Unit):
-            return self._full(0.0), self._full(1.0)
-        args = [self.eval(a) for a in _operands(e)]
-        sigma = self.kind.sigma
-        fails = None
-        if isinstance(e, Add):
-            out = args[0][0] + args[1][0], args[0][1] + args[1][1]
-        elif isinstance(e, Sub):
-            out = args[0][0] - args[1][0], args[0][1] - args[1][1]
-        elif isinstance(e, Mul):
-            out = algebra.mul_arrays(args[0], args[1], sigma)
-        elif isinstance(e, Div):
-            inverse, fails = algebra.invert_arrays(args[1], self.kind)
-            out = algebra.mul_arrays(args[0], inverse, sigma)
-        elif isinstance(e, Pow):
-            base = args[0]
-            if e.n < 0:
-                base, fails = algebra.invert_arrays(base, self.kind)
-            out = self._full(1.0), self._full(0.0)
-            for _ in range(abs(e.n)):
-                out = algebra.mul_arrays(out, base, sigma)
-        elif isinstance(e, Neg):
-            out = -args[0][0], -args[0][1]
-        elif isinstance(e, Conj):
-            out = args[0][0], -args[0][1]
-        elif isinstance(e, Call):
-            out = algebra.CALL_ARRAYS[e.fn](args[0], self.kind)
-            fails = ~(_finite_arrays(args[0]) & _finite_arrays(out))
-        else:
-            raise TypeError(type(e))
-        if fails is not None:
-            self._settle(e, args, out, fails & ~self.bad)
+    def full(self, x: float) -> np.ndarray:
+        key = x, math.copysign(1.0, x)
+        out = self.fills.get(key)
+        if out is None:
+            out = self.fills[key] = np.full(self.u.shape, x)
+            out.flags.writeable = False
         return out
 
-    def _settle(self, e: Expr, args, out, suspects: np.ndarray) -> None:
+    def div(self, e: Div):
+        a, b = self.eval(e.a), self.eval(e.b)
+        inverse, fails = algebra.invert_arrays(b, self.kind)
+        return self.settle(e, [a, b], algebra.mul_arrays(a, inverse, self.sigma), fails)
+
+    def pow(self, e: Pow):
+        arg = base = self.eval(e.base)
+        if e.n < 0:
+            base, fails = algebra.invert_arrays(arg, self.kind)
+        out = self.full(1.0), self.full(0.0)
+        for _ in range(abs(e.n)):
+            out = algebra.mul_arrays(out, base, self.sigma)
+        return self.settle(e, [arg], out, fails) if e.n < 0 else out
+
+    def call(self, e: Call):
+        a = self.eval(e.a)
+        out = algebra.CALL_ARRAYS[e.fn](a, self.kind)
+        return self.settle(e, [a], out, ~np.isfinite([*a, *out]).all(axis=0))
+
+    def settle(self, e: Expr, args, out, fails: np.ndarray):
         # the per-node operation decides each suspect node: it either
         # raises (the node goes bad with that error) or gives the value
-        for k in np.flatnonzero(suspects):
+        for k in np.flatnonzero(fails & ~self.bad) if fails.any() else ():
             try:
                 val = _apply(e, [Scalar(re[k], im[k], self.kind) for re, im in args], self.kind)
             except EvalError as exc:
@@ -480,13 +460,39 @@ class _GridEvaluator:
                 self.first_errors[int(k)] = exc
             else:
                 out[0][k], out[1][k] = val.re, val.im
+        return out
 
 
-def _finite_arrays(a) -> np.ndarray:
-    return np.isfinite(a[0]) & np.isfinite(a[1])
+_GRID_OPS = {
+    Const: lambda ev, e: (ev.full(e.re), ev.full(e.im)),
+    Var: lambda ev, e: (ev.u if e.name == "u" else ev.v, ev.full(0.0)),
+    Unit: lambda ev, e: (ev.full(0.0), ev.full(1.0)),
+    Add: lambda ev, e: tuple(map(np.add, ev.eval(e.a), ev.eval(e.b))),
+    Sub: lambda ev, e: tuple(map(np.subtract, ev.eval(e.a), ev.eval(e.b))),
+    Mul: lambda ev, e: algebra.mul_arrays(ev.eval(e.a), ev.eval(e.b), ev.sigma),
+    Neg: lambda ev, e: tuple(map(np.negative, ev.eval(e.a))),
+    Conj: lambda ev, e: (ev.eval(e.a)[0], -ev.eval(e.a)[1]),
+    Div: _GridEvaluator.div, Pow: _GridEvaluator.pow, Call: _GridEvaluator.call,
+}
 
 
 # -- differentiation -----------------------------------------------------
+# diff and wirtinger_bar build each node through _node: one object per type,
+# scalar fields (never -0.0, which keys as 0.0) and child objects, so
+# evaluate_grid evaluates equal derivative subtrees once.  Parsed nodes never
+# merge, as their positions reach error texts.  A node holds the children
+# whose ids key it; the pool holds only what the two functions' caches hold.
+
+_POOL = {}
+_CALL_DIFF = {"exp": "exp", "sin": "cos", "sinh": "cosh", "cosh": "sinh"}
+
+
+def _node(cls, *fields) -> Expr:
+    key = (cls, *(id(f) if isinstance(f, Expr) else f for f in fields))
+    node = _POOL.get(key)
+    if node is None:
+        node = _POOL[key] = cls(*fields)
+    return node
 
 
 @functools.lru_cache(maxsize=None)
@@ -494,45 +500,33 @@ def diff(e: Expr, wrt: str) -> Expr:
     """Exact partial derivative tree with respect to 'u' or 'v'."""
     if wrt not in ("u", "v"):
         raise ValueError("wrt must be 'u' or 'v'")
-    if isinstance(e, (Const, Unit)):
-        return Const(0.0)
+    if isinstance(e, (Const, Unit)) or (isinstance(e, Pow) and e.n == 0):
+        return _node(Const, 0.0)
     if isinstance(e, Var):
-        return Const(1.0 if e.name == wrt else 0.0)
-    if isinstance(e, Add):
-        return Add(diff(e.a, wrt), diff(e.b, wrt))
-    if isinstance(e, Sub):
-        return Sub(diff(e.a, wrt), diff(e.b, wrt))
-    if isinstance(e, Mul):
-        return Add(Mul(diff(e.a, wrt), e.b), Mul(e.a, diff(e.b, wrt)))
-    if isinstance(e, Div):
-        num = Sub(Mul(diff(e.a, wrt), e.b), Mul(e.a, diff(e.b, wrt)))
-        return Div(num, Pow(e.b, 2))
+        return _node(Const, 1.0 if e.name == wrt else 0.0)
+    if isinstance(e, (Add, Sub)):
+        return _node(type(e), diff(e.a, wrt), diff(e.b, wrt))
+    if isinstance(e, (Mul, Div)):
+        da, db = _node(Mul, diff(e.a, wrt), e.b), _node(Mul, e.a, diff(e.b, wrt))
+        if isinstance(e, Mul):
+            return _node(Add, da, db)
+        return _node(Div, _node(Sub, da, db), _node(Pow, e.b, 2))
     if isinstance(e, Pow):
-        if e.n == 0:
-            return Const(0.0)
-        return Mul(Mul(Const(float(e.n)), Pow(e.base, e.n - 1)), diff(e.base, wrt))
-    if isinstance(e, Neg):
-        return Neg(diff(e.a, wrt))
-    if isinstance(e, Conj):
+        outer = _node(Mul, _node(Const, float(e.n)), _node(Pow, e.base, e.n - 1))
+        return _node(Mul, outer, diff(e.base, wrt))
+    if isinstance(e, (Neg, Conj)):
         # conj is R-linear, so it commutes with real partials
-        return Conj(diff(e.a, wrt))
+        return _node(type(e), diff(e.a, wrt))
     if isinstance(e, Call):
-        inner = diff(e.a, wrt)
-        if e.fn == "exp":
-            outer = Call("exp", e.a)
+        if e.fn in _CALL_DIFF:
+            outer = _node(Call, _CALL_DIFF[e.fn], e.a)
         elif e.fn == "ln":
-            outer = Div(Const(1.0), e.a)
-        elif e.fn == "sin":
-            outer = Call("cos", e.a)
+            outer = _node(Div, _node(Const, 1.0), e.a)
         elif e.fn == "cos":
-            outer = Neg(Call("sin", e.a))
-        elif e.fn == "sinh":
-            outer = Call("cosh", e.a)
-        elif e.fn == "cosh":
-            outer = Call("sinh", e.a)
+            outer = _node(Neg, _node(Call, "sin", e.a))
         else:
             raise ValueError(f"no derivative rule for {e.fn}")
-        return Mul(outer, inner)
+        return _node(Mul, outer, diff(e.a, wrt))
     raise TypeError(type(e))
 
 
@@ -544,7 +538,8 @@ def wirtinger_bar(e: Expr) -> Expr:
     v-term; both follow the same orientation convention throughout the
     package, in both algebras.
     """
-    return Mul(Const(0.5), Sub(diff(e, "u"), Mul(Unit(), diff(e, "v"))))
+    dv = _node(Mul, _node(Unit), diff(e, "v"))
+    return _node(Mul, _node(Const, 0.5), _node(Sub, diff(e, "u"), dv))
 
 
 # -- Weierstrass data ----------------------------------------------------

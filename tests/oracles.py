@@ -5,12 +5,14 @@ against the same references: the frame connection from the L-table and
 from the Christoffel symbols, the node-by-node generic harmonicity
 residual, split coordinates, tree printing, the per-stage march on the
 full two-column frame product (the package applies only the column a
-stage uses), and the metric gradient and tension residual with one
-metric call per coordinate shift and one Christoffel call per interior
-row.
+stage uses), the metric gradient and tension residual with one metric
+call per coordinate shift and one Christoffel call per interior row, and
+expression trees with no node object in two places.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -76,6 +78,29 @@ def print_expr(e: Expr, kind: Kind) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({print_expr(e.a, kind)})"
     raise TypeError(type(e))
+
+
+def expr_children(e: Expr) -> list[Expr]:
+    """The operands of a node, in field order."""
+    return [a for a in vars(e).values() if isinstance(a, Expr)]
+
+
+def distinct_nodes(trees) -> list[Expr]:
+    """Every node object reachable from the trees, each once."""
+    seen, stack = {}, list(trees)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack += expr_children(e)
+    return list(seen.values())
+
+
+def unshared(e: Expr) -> Expr:
+    """The tree rebuilt with a new object at every place, each keeping its pos."""
+    children = {f.name: unshared(getattr(e, f.name)) for f in dataclasses.fields(e)
+                if isinstance(getattr(e, f.name), Expr)}
+    return dataclasses.replace(e, **children)
 
 
 def frame_connection(s: SpaceModel, i: int, j: int) -> np.ndarray:

@@ -8,6 +8,11 @@ messages and order, and the NaN pattern must be identical; values agree
 to 1e-9 relative (numpy's exp, sinh, cosh may differ from math's in the
 last bit).  Formulas are seeded and carry no overflow guard, and the
 grids put poles, the null cone and the ln domain edges on nodes.
+
+Derivative-built nodes are shared, and so are the arrays of equal
+constants.  The twin tests evaluate each tree again with no node object
+in two places (``oracles.unshared``): the sharing may save work but must
+not change a mask, a message or a bit of a value.
 """
 
 import gc
@@ -17,6 +22,7 @@ import random
 import numpy as np
 import pytest
 
+from drmin import expr
 from drmin.algebra import Kind
 from drmin.expr import (
     Add,
@@ -39,13 +45,20 @@ from drmin.expr import (
 )
 from drmin.presets import PRESETS
 from drmin.spaces import SpaceKind, SpaceModel, l_table
+from drmin.synthesis import path_independence, synthesize
+from drmin.verify import verify_mesh
 from drmin.weierstrass import (
     DomainGrid,
     condition_i,
     condition_ii,
     validate,
 )
-from oracles import harmonicity_residual_generic, print_expr
+from oracles import (
+    distinct_nodes,
+    harmonicity_residual_generic,
+    print_expr,
+    unshared,
+)
 
 RTOL = 1e-9
 # 9 nodes over [-1, 1]: u = 0, v = 0 and u = +/-v are nodes
@@ -170,6 +183,28 @@ class TestRandomFormulas:
         # the draw reaches failed nodes and NaN values, or it tests little
         assert bad_seen >= 10 and nan_seen >= 1
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("grid", [EDGE_GRID, PRESET_GRID], ids=["edges", "preset"])
+    def test_sharing_is_invisible(self, kind, grid):
+        # the formulas of test_trees_and_their_derivatives, each also
+        # evaluated as its unshared twin
+        rng = random.Random(f"trees/{kind.value}/{grid.u_min}")
+        u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
+        saved = 0
+        for _ in range(60):
+            e = random_formula(rng, kind)
+            trees = [e, wirtinger_bar(e)]
+            twins = [unshared(t) for t in trees]
+            saved += len(distinct_nodes(twins)) - len(distinct_nodes(trees))
+            got, want = evaluate_grid(trees, u, v, kind), evaluate_grid(twins, u, v, kind)
+            assert np.array_equal(got.bad, want.bad)
+            texts = [[(i, str(exc)) for i, exc in ev.errors()] for ev in (got, want)]
+            assert texts[0] == texts[1]
+            for pair, twin_pair in zip(got.values, want.values):
+                for a, b in zip(pair, twin_pair):
+                    assert a[~got.bad].tobytes() == b[~got.bad].tobytes()
+        assert saved >= 60 * 10  # the shared trees hold far fewer nodes
+
     @pytest.mark.parametrize("space_kind", list(SpaceKind))
     @pytest.mark.parametrize("kind", list(Kind))
     def test_validate(self, space_kind, kind):
@@ -251,6 +286,13 @@ class TestPinnedCases:
         assert "sin failed" in str(ev.errors()[0][1])
         assert "non-finite argument" in str(ev.errors()[0][1])
 
+    def test_constants_of_either_zero_keep_their_sign(self):
+        # equal constants share one array, and -0.0 == 0.0 must not merge them
+        trees = [Const(0.0), Const(-0.0, -0.0), Conj(Const(0.0)), Const(0.0, 0.0)]
+        ev = check_trees(trees, EDGE_GRID, Kind.COMPLEX)
+        signs = [(np.signbit(re).all(), np.signbit(im).all()) for re, im in ev.values]
+        assert signs == [(False, False), (True, True), (False, True), (False, False)]
+
     def test_scalar_inputs(self):
         e = parse("1/u", Kind.PARA)
         ev = evaluate_grid([e], 0.0, 1.0, Kind.PARA)
@@ -260,6 +302,71 @@ class TestPinnedCases:
         ev = evaluate_grid([e], 2.0, 1.0, Kind.PARA)
         assert float(ev.values[0][0]) == 0.5
         ev.raise_first()  # nothing to raise
+
+
+@pytest.fixture
+def fresh_derivatives():
+    # a cached derivative of an equal tree parsed elsewhere would reference
+    # that tree's nodes, so counts by object depend on what ran before
+    expr.diff.cache_clear()
+    expr.wirtinger_bar.cache_clear()
+    expr._POOL.clear()
+
+
+def pool_key(e):
+    """What derivative-built nodes are shared on: type, scalar fields, child objects."""
+    return (type(e), *(id(a) if isinstance(a, expr.Expr) else a for a in vars(e).values()))
+
+
+@pytest.mark.usefixtures("fresh_derivatives")
+class TestSharedDerivatives:
+    @pytest.mark.parametrize(
+        "texts,kind",
+        [(p.psi_texts, p.algebra) for p in PRESETS.values()]
+        + [(("1/u^2 + exp(u*v)", "0", "0", "1/u"), Kind.COMPLEX)],
+        ids=[*PRESETS, "quotient"],
+    )
+    def test_no_derivative_node_is_built_twice(self, texts, kind):
+        w = WeierstrassData.from_strings(texts, kind)
+        built = [e for e in distinct_nodes(wirtinger_bar(p) for p in w.psi) if e.pos == -1]
+        assert len({pool_key(e) for e in built}) == len(built)
+        if texts[0].startswith("1/u^2"):
+            # every equal pair is merged here, the quotient rule's (u^2)^2
+            # of d/du and d/dv included; in the presets Pow(u, 2) of tau/u
+            # and of 1/u stay apart, being built on two parsed u
+            assert len(set(built)) == len(built)
+            squares = [e for e in built if isinstance(e, Pow) and e.n == 2]
+            assert len(squares) == 2  # (u^2)^2 and u^2 from 1/u
+
+    def test_node_count_is_pinned(self):
+        p = PRESETS["s41-timelike-basic"]
+        w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
+        trees = list(w.psi) + [wirtinger_bar(q) for q in w.psi]
+        # validate's eight trees: 51 node objects when every derivative
+        # built its own nodes
+        assert len(distinct_nodes(trees)) == 37
+
+
+def test_shared_values_are_read_only():
+    # psi2 and psi3 are both "0": their values are one read-only array
+    p = PRESETS["s41-timelike-basic"]
+    assert p.psi_texts[1:3] == ("0", "0")
+    w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
+    grid = p.grid.with_resolution(17, 17)
+    trees = list(w.psi) + [wirtinger_bar(q) for q in w.psi]
+    ev = evaluate_grid(trees, grid.u_nodes[:, None], grid.v_nodes[None, :], w.kind)
+    assert np.shares_memory(ev.values[1][0], ev.values[2][0])
+    for a in (a for pair in ev.values for a in pair):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ev.values[1][0][0, 0] = 1.0
+    assert not ev.values[2][0].any()
+    # validate, the march and verify_mesh read the shared arrays and still run
+    s = p.model()
+    assert validate(s, w, grid).passed
+    mesh = synthesize(s, w, grid, p.f0)
+    assert path_independence(s, w, mesh) < 1e-6
+    assert verify_mesh(s, mesh, w).passed
 
 
 def test_failed_nodes_leave_no_reference_cycles():
