@@ -57,8 +57,8 @@ class EvalError(ExprError):
 
 
 # -- AST nodes -----------------------------------------------------------
-# `pos` is excluded from equality/hash so structural comparison and the
-# derivative cache ignore source locations.
+# `pos` is excluded from equality/hash so structural comparison ignores
+# source locations.
 
 
 @dataclass(frozen=True)
@@ -477,69 +477,68 @@ _GRID_OPS = {
 
 
 # -- differentiation -----------------------------------------------------
-# diff and wirtinger_bar build each node through _node: one object per type,
-# scalar fields (never -0.0, which keys as 0.0) and child objects, so
-# evaluate_grid evaluates equal derivative subtrees once.  Parsed nodes never
-# merge, as their positions reach error texts.  A node holds the children
-# whose ids key it; the pool holds only what the two functions' caches hold.
+# A _Derivatives pool keys each node it builds on the type, the scalar fields
+# (never -0.0, which keys as 0.0) and the child objects, which the node holds,
+# so equal derivative subtrees of one build are one object that evaluate_grid
+# evaluates once.  Parsed nodes never merge: their positions reach error texts.
 
-_POOL = {}
 _CALL_DIFF = {"exp": "exp", "sin": "cos", "sinh": "cosh", "cosh": "sinh"}
 
 
-def _node(cls, *fields) -> Expr:
-    key = (cls, *(id(f) if isinstance(f, Expr) else f for f in fields))
-    node = _POOL.get(key)
-    if node is None:
-        node = _POOL[key] = cls(*fields)
-    return node
+class _Derivatives(dict):
+    """One build of derivative trees; the dict is its node pool, dropped with it."""
+
+    def node(self, cls, *fields) -> Expr:
+        key = (cls, *(id(f) if isinstance(f, Expr) else f for f in fields))
+        if key not in self:
+            self[key] = cls(*fields)
+        return self[key]
+
+    def partial(self, e: Expr, wrt: str) -> Expr:
+        """Exact partial derivative tree with respect to 'u' or 'v'."""
+        node, partial = self.node, self.partial
+        if isinstance(e, (Const, Unit)) or (isinstance(e, Pow) and e.n == 0):
+            return node(Const, 0.0)
+        if isinstance(e, Var):
+            return node(Const, 1.0 if e.name == wrt else 0.0)
+        if isinstance(e, (Add, Sub)):
+            return node(type(e), partial(e.a, wrt), partial(e.b, wrt))
+        if isinstance(e, (Mul, Div)):
+            da, db = node(Mul, partial(e.a, wrt), e.b), node(Mul, e.a, partial(e.b, wrt))
+            if isinstance(e, Mul):
+                return node(Add, da, db)
+            return node(Div, node(Sub, da, db), node(Pow, e.b, 2))
+        if isinstance(e, Pow):
+            outer = node(Mul, node(Const, float(e.n)), node(Pow, e.base, e.n - 1))
+            return node(Mul, outer, partial(e.base, wrt))
+        if isinstance(e, (Neg, Conj)):
+            # conj is R-linear, so it commutes with real partials
+            return node(type(e), partial(e.a, wrt))
+        if isinstance(e, Call):
+            if e.fn in _CALL_DIFF:
+                outer = node(Call, _CALL_DIFF[e.fn], e.a)
+            elif e.fn == "ln":
+                outer = node(Div, node(Const, 1.0), e.a)
+            elif e.fn == "cos":
+                outer = node(Neg, node(Call, "sin", e.a))
+            else:
+                raise ValueError(f"no derivative rule for {e.fn}")
+            return node(Mul, outer, partial(e.a, wrt))
+        raise TypeError(type(e))
+
+    def bar(self, e: Expr) -> Expr:
+        dv = self.node(Mul, self.node(Unit), self.partial(e, "v"))
+        return self.node(Mul, self.node(Const, 0.5), self.node(Sub, self.partial(e, "u"), dv))
 
 
-@functools.lru_cache(maxsize=None)
-def diff(e: Expr, wrt: str) -> Expr:
-    """Exact partial derivative tree with respect to 'u' or 'v'."""
-    if wrt not in ("u", "v"):
-        raise ValueError("wrt must be 'u' or 'v'")
-    if isinstance(e, (Const, Unit)) or (isinstance(e, Pow) and e.n == 0):
-        return _node(Const, 0.0)
-    if isinstance(e, Var):
-        return _node(Const, 1.0 if e.name == wrt else 0.0)
-    if isinstance(e, (Add, Sub)):
-        return _node(type(e), diff(e.a, wrt), diff(e.b, wrt))
-    if isinstance(e, (Mul, Div)):
-        da, db = _node(Mul, diff(e.a, wrt), e.b), _node(Mul, e.a, diff(e.b, wrt))
-        if isinstance(e, Mul):
-            return _node(Add, da, db)
-        return _node(Div, _node(Sub, da, db), _node(Pow, e.b, 2))
-    if isinstance(e, Pow):
-        outer = _node(Mul, _node(Const, float(e.n)), _node(Pow, e.base, e.n - 1))
-        return _node(Mul, outer, diff(e.base, wrt))
-    if isinstance(e, (Neg, Conj)):
-        # conj is R-linear, so it commutes with real partials
-        return _node(type(e), diff(e.a, wrt))
-    if isinstance(e, Call):
-        if e.fn in _CALL_DIFF:
-            outer = _node(Call, _CALL_DIFF[e.fn], e.a)
-        elif e.fn == "ln":
-            outer = _node(Div, _node(Const, 1.0), e.a)
-        elif e.fn == "cos":
-            outer = _node(Neg, _node(Call, "sin", e.a))
-        else:
-            raise ValueError(f"no derivative rule for {e.fn}")
-        return _node(Mul, outer, diff(e.a, wrt))
-    raise TypeError(type(e))
-
-
-@functools.lru_cache(maxsize=None)
 def wirtinger_bar(e: Expr) -> Expr:
-    """The conjugate Wirtinger operator (d/du - unit*d/dv)/2.
+    """The conjugate Wirtinger operator (d/du - unit*d/dv)/2, built afresh.
 
     The companion holomorphic operator carries the plus sign on the
     v-term; both follow the same orientation convention throughout the
     package, in both algebras.
     """
-    dv = _node(Mul, _node(Unit), diff(e, "v"))
-    return _node(Mul, _node(Const, 0.5), _node(Sub, diff(e, "u"), dv))
+    return _Derivatives().bar(e)
 
 
 # -- Weierstrass data ----------------------------------------------------
@@ -562,6 +561,11 @@ class WeierstrassData:
         if len(texts) != 4:
             raise ValueError("exactly four component formulas are required")
         return cls(tuple(parse(t, kind) for t in texts), kind)
+
+    @functools.cached_property
+    def bars(self) -> tuple[Expr, Expr, Expr, Expr]:
+        """The wirtinger_bar trees of psi, built once over one pool and kept with the data."""
+        return tuple(map(_Derivatives().bar, self.psi))
 
     def eval_components(self, u: float, v: float) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return tuple(evaluate(p, u, v, self.kind) for p in self.psi)

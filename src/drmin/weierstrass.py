@@ -148,16 +148,12 @@ def conformal_density(s: SpaceModel, kind: Kind, psi) -> np.ndarray:
     return out
 
 
-def _bar_derivatives(w: WeierstrassData) -> tuple[expr.Expr, ...]:
-    return tuple(expr.wirtinger_bar(p) for p in w.psi)
-
-
 def harmonicity_residual_explicit(
     s: SpaceModel, w: WeierstrassData, u: float, v: float
 ) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """The per-space four-equation harmonicity system, written out."""
     p1, p2, p3, p4 = w.eval_components(u, v)
-    b1, b2, b3, b4 = (expr.evaluate(d, u, v, w.kind) for d in _bar_derivatives(w))
+    b1, b2, b3, b4 = (expr.evaluate(d, u, v, w.kind) for d in w.bars)
     c = s.c
     kind = w.kind
 
@@ -288,7 +284,7 @@ def validate(
     """
     tolerances = tolerances or ValidationTolerances()
     u_nodes, v_nodes = grid.u_nodes, grid.v_nodes
-    ev = expr.evaluate_grid(w.psi + _bar_derivatives(w), u_nodes[:, None], v_nodes[None, :], w.kind)
+    ev = expr.evaluate_grid(w.psi + w.bars, u_nodes[:, None], v_nodes[None, :], w.kind)
     psi, res = ev.values[:4], list(ev.values[4:])
     sigma = w.kind.sigma
     eps = s.signature

@@ -6,8 +6,9 @@ from the Christoffel symbols, the node-by-node generic harmonicity
 residual, split coordinates, tree printing, the per-stage march on the
 full two-column frame product (the package applies only the column a
 stage uses), the metric gradient and tension residual with one metric
-call per coordinate shift and one Christoffel call per interior row, and
-expression trees with no node object in two places.
+call per coordinate shift and one Christoffel call per interior row,
+expression trees with no node object in two places, and the partial
+derivative trees that the package builds only inside its Wirtinger trees.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ def distinct_nodes(trees) -> list[Expr]:
             seen[id(e)] = e
             stack += expr_children(e)
     return list(seen.values())
+
+
+def diff(e: Expr, wrt: str) -> Expr:
+    """Exact partial derivative tree with respect to 'u' or 'v', over a pool of its own."""
+    if wrt not in ("u", "v"):
+        raise ValueError("wrt must be 'u' or 'v'")
+    return expr._Derivatives().partial(e, wrt)
 
 
 def unshared(e: Expr) -> Expr:

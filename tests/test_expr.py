@@ -21,12 +21,11 @@ from drmin.expr import (
     Unit,
     Var,
     WeierstrassData,
-    diff,
     evaluate,
     parse,
     wirtinger_bar,
 )
-from oracles import print_expr
+from oracles import diff, print_expr
 
 
 class TestParse:
@@ -229,6 +228,21 @@ class TestWirtinger:
         bar = wirtinger_bar(e)
         for u, v in [(0.0, 0.0), (1.5, -2.0)]:
             assert evaluate(bar, u, v, Kind.PARA).is_close(Scalar(1, 0, Kind.PARA))
+
+    def test_error_positions_come_from_the_tree_given(self):
+        # an equal formula parsed from other text lends the bar tree none of
+        # its nodes: "  exp(1/u)" has its "/" at position 7, "exp(1/u)" at 5
+        wirtinger_bar(parse("exp(1/u)", Kind.PARA))
+        bar = wirtinger_bar(parse("  exp(1/u)", Kind.PARA))
+        with pytest.raises(EvalError, match=r"division failed \(at position 7\)"):
+            evaluate(bar, 0.0, 0.0, Kind.PARA)
+
+    def test_data_bars_name_positions_in_their_own_texts(self):
+        WeierstrassData.from_strings(["tau/u", "0", "0", "exp(1/u)"], Kind.PARA).bars
+        w = WeierstrassData.from_strings(["tau/u", "0", "0", "  exp(1/u)"], Kind.PARA)
+        assert w.bars is w.bars  # built once, kept on the data
+        with pytest.raises(EvalError, match=r"division failed \(at position 7\)"):
+            evaluate(w.bars[3], 0.0, 1.0, Kind.PARA)
 
     def test_cauchy_riemann_equivalence(self):
         # f = a + tau b with a_u = b_v and a_v = b_u iff bar-derivative vanishes

@@ -9,10 +9,10 @@ to 1e-9 relative (numpy's exp, sinh, cosh may differ from math's in the
 last bit).  Formulas are seeded and carry no overflow guard, and the
 grids put poles, the null cone and the ln domain edges on nodes.
 
-Derivative-built nodes are shared, and so are the arrays of equal
-constants.  The twin tests evaluate each tree again with no node object
-in two places (``oracles.unshared``): the sharing may save work but must
-not change a mask, a message or a bit of a value.
+Derivative-built nodes of one build are shared, and so are the arrays
+of equal constants.  The twin tests evaluate each tree again with no node
+object in two places (``oracles.unshared``): the sharing may save work
+but must not change a mask, a message or a bit of a value.
 """
 
 import gc
@@ -304,21 +304,11 @@ class TestPinnedCases:
         ev.raise_first()  # nothing to raise
 
 
-@pytest.fixture
-def fresh_derivatives():
-    # a cached derivative of an equal tree parsed elsewhere would reference
-    # that tree's nodes, so counts by object depend on what ran before
-    expr.diff.cache_clear()
-    expr.wirtinger_bar.cache_clear()
-    expr._POOL.clear()
-
-
 def pool_key(e):
     """What derivative-built nodes are shared on: type, scalar fields, child objects."""
     return (type(e), *(id(a) if isinstance(a, expr.Expr) else a for a in vars(e).values()))
 
 
-@pytest.mark.usefixtures("fresh_derivatives")
 class TestSharedDerivatives:
     @pytest.mark.parametrize(
         "texts,kind",
@@ -328,7 +318,7 @@ class TestSharedDerivatives:
     )
     def test_no_derivative_node_is_built_twice(self, texts, kind):
         w = WeierstrassData.from_strings(texts, kind)
-        built = [e for e in distinct_nodes(wirtinger_bar(p) for p in w.psi) if e.pos == -1]
+        built = [e for e in distinct_nodes(w.bars) if e.pos == -1]
         assert len({pool_key(e) for e in built}) == len(built)
         if texts[0].startswith("1/u^2"):
             # every equal pair is merged here, the quotient rule's (u^2)^2
@@ -341,7 +331,7 @@ class TestSharedDerivatives:
     def test_node_count_is_pinned(self):
         p = PRESETS["s41-timelike-basic"]
         w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
-        trees = list(w.psi) + [wirtinger_bar(q) for q in w.psi]
+        trees = list(w.psi) + list(w.bars)
         # validate's eight trees: 51 node objects when every derivative
         # built its own nodes
         assert len(distinct_nodes(trees)) == 37

@@ -1,12 +1,20 @@
 """The installed package holds only what the program runs.
 
 A public module-level function or class in ``src/drmin`` counts as used
-when its name appears (as a name, an attribute or an import alias) in
-another used public def of the package, in the package's other code, or in
-``scripts/`` or ``perfbench/``.  Defs used by nothing else are dropped
-until none is left to drop; what remains unused belongs in
-``tests/oracles.py``, not in the package.  The sources are parsed, never
-imported.
+when its name appears (as a name, an import alias, or an attribute read
+off drmin or one of its modules, such as ``expr.parse`` or
+``drmin.expr.parse``) in another used public def of the package, in the
+package's other code, or in ``scripts/`` or ``perfbench/``.  Defs used by
+nothing else are dropped until none is left to drop; what remains unused
+belongs in ``tests/oracles.py``, not in the package.
+
+A def of the package that lives as long as the process (at module level,
+or a method of a module-level class) caches through ``functools.cache``
+or ``functools.lru_cache`` only when it takes no parameters: a cache keyed
+on its arguments keeps every argument and result alive for the life of
+the process.  Data-derived state belongs to the object it derives from.
+
+The sources are parsed, never imported.
 """
 
 import ast
@@ -16,6 +24,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "drmin"
 # cli.entrypoint is the console script pyproject.toml names
 ENTRY_POINTS = {"entrypoint"}
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def _is_module(node) -> bool:
+    """Whether node names drmin or one of its modules: drmin, expr, drmin.expr."""
+    if isinstance(node, ast.Attribute):  # drmin.expr
+        parent = node.value if node.attr in MODULES else None
+        return isinstance(parent, ast.Name) and parent.id == "drmin"
+    return isinstance(node, ast.Name) and node.id in MODULES | {"drmin"}
 
 
 def _appearances(node) -> set[str]:
@@ -23,7 +40,7 @@ def _appearances(node) -> set[str]:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and _is_module(sub.value):
             names.add(sub.attr)
         elif isinstance(sub, ast.alias):
             names.update(filter(None, [sub.name.split(".")[-1], sub.asname]))
@@ -68,3 +85,32 @@ def unused_public_defs() -> list[str]:
 def test_every_public_def_is_used_outside_the_tests():
     unused = unused_public_defs()
     assert not unused, f"only the tests reach these, move them to tests/oracles.py: {unused}"
+
+
+def _cached(node) -> bool:
+    """Whether a def carries functools.cache or functools.lru_cache, called or not."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name in ("cache", "lru_cache"):
+            return True
+    return False
+
+
+def argument_keyed_caches() -> list[str]:
+    """module.name of each long-lived def of src/drmin that caches on its parameters."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for d in members:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and _cached(d):
+                    a = d.args
+                    if a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg:
+                        out.append(f"{path.stem}.{d.name}")
+    return out
+
+
+def test_no_process_wide_cache_is_keyed_on_data():
+    keyed = argument_keyed_caches()
+    assert not keyed, f"these caches hold every argument for the life of the process: {keyed}"

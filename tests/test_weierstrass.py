@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -273,3 +275,25 @@ class TestValidate:
         # sup-norms are tiny but nonzero, so absurdly strict tolerances fail
         assert report.harmonicity_sup <= 1e-12
         assert not report.passed or report.harmonicity_sup == 0.0
+
+    def test_validated_data_leaves_nothing_behind(self):
+        # the derivative trees live on the data: once the data is dropped,
+        # no formula validated before stays held by the process
+        grid = DomainGrid(1, 2, -1, 1, 5, 5, 1, 0)
+
+        def data(k):
+            return WeierstrassData.from_strings(
+                [f"tau/u + {k}*exp(u*v)/(1 + u^2)", "0", "0", "1/u"], Kind.PARA
+            )
+
+        validate(S41, data(-1), grid)  # first-use allocations stay out of the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for k in range(100):
+                validate(S41, data(k), grid)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.2e6, f"{held} bytes still held"
