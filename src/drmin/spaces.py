@@ -81,22 +81,29 @@ def metric_at(s: SpaceModel, p) -> np.ndarray:
     return g
 
 
-def frame_matrix(s: SpaceModel, p) -> np.ndarray:
+def frame_matrix(s: SpaceModel, p, rows=(0, 1, 2, 3)) -> np.ndarray:
     """Columns are the coordinate components of the frame e1..e4 at p.
 
-    Points of shape (..., 4) give matrices of shape (..., 4, 4).
+    Points of shape (..., 4) give matrices of shape (..., 4, 4), or only
+    the given rows, in that order: shape (..., len(rows), 4).  Rows 0 and
+    1 read t, row 2 reads x, y and t, and row 3 is constant.  The entries
+    are built as whole arrays over the points, so the result is a view
+    whose matrix axes are its outermost in memory.
     """
     p = np.asarray(p, dtype=float)
     c = s.c
     eh = np.exp(0.5 * p[..., 3])
-    A = np.zeros(p.shape[:-1] + (4, 4))
-    A[..., 0, 0] = eh
-    A[..., 1, 1] = eh
-    A[..., 2, 0] = -0.5 * c * eh * p[..., 1]
-    A[..., 2, 1] = 0.5 * c * eh * p[..., 0]
-    A[..., 2, 2] = np.exp(p[..., 3])
-    A[..., 3, 3] = 1.0
-    return A
+    A = np.zeros((len(rows), 4) + p.shape[:-1])
+    for i, r in enumerate(rows):
+        if r == 2:
+            A[i, 0] = -0.5 * c * eh * p[..., 1]
+            A[i, 1] = 0.5 * c * eh * p[..., 0]
+            A[i, 2] = np.exp(p[..., 3])
+        elif r == 3:
+            A[i, 3] = 1.0
+        else:
+            A[i, r] = eh
+    return A.transpose(*range(2, A.ndim), 0, 1)
 
 
 def l_table(s: SpaceModel) -> dict[tuple[int, int, int], float]:

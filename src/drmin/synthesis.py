@@ -144,91 +144,108 @@ class SurfaceMesh:
         )
 
 
-def _rk4(s, w, y, runs, fixed, axis: int) -> list[np.ndarray]:
-    """RK4 states along each coordinate run, all runs starting from y at the base node.
+def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
+    """RK4 states on every node of a coordinate line, marched out both ways from node base.
 
-    y holds one state per stacked line, shape (..., 4); the other parameter
-    is fixed (a scalar, or one value per line).  The frame's t row is
-    constant, its x and y rows read t and its z row x, y and t, so one pass
-    per level marches every step of every run, and np.add.accumulate sums
-    a run's increments in marching order.  psi is evaluated once, on the
-    base node and every later node and step midpoint a + 0.5*h.  A run
-    fails at its first stage reading a node where psi fails or its first
-    non-finite state, the first run first.
+    y holds the state at the base node of each stacked line, shape
+    (..., 4); the other parameter is fixed (a scalar, or one value per
+    line).  Returns the states, shape (len(coords), ..., 4).  The frame's
+    t row is constant, its x and y rows read t and its z row x, y and t,
+    so one pass per level (t, then x and y, then z) marches every step of
+    both runs, ahead of the base node and behind it: it reads only the
+    level's frame rows at the stage points, forms the four stages in one
+    product with psi per frame call, and np.add.accumulate sums each run's
+    increments in marching order, in place.  The arrays are held
+    coordinate-major, so each operation runs over whole blocks.  psi is
+    evaluated once, on the base node and every later node and step
+    midpoint a + 0.5*h.  Only if psi failed somewhere or a run ends
+    non-finite is the first failure sought: a run fails at its first stage
+    reading a node where psi fails or at its first non-finite state, the
+    run ahead first.
     """
+    lines = y.shape[:-1]
+    out = np.empty((4, len(coords), *lines))
+    nodes = out.transpose(*range(1, out.ndim), 0)  # the states node by node, as returned
+    nodes[base] = y
+    runs = (coords[base:], coords[base::-1])
+    states = (out[:, base:], out[:, base::-1])  # views: each run's states in marching order
     n = [len(c) - 1 for c in runs]
-    steps = sum(n)
-    x = np.concatenate([runs[0][:1], *(c[1:] for c in runs),
-                        *(c[:-1] + 0.5 * np.diff(c) for c in runs)])
-    x = x.reshape(-1, *[1] * (y.ndim - 1))
+    steps = n[0] + n[1]
+    spans = ((0, n[0]), (n[0], steps))
+    # the base node, every later node, then the midpoints, taken per run: reversed
+    # steps do not always round to the same float
+    x = np.concatenate([coords[base:base + 1], runs[0][1:], runs[1][1:],
+                        *(c[:-1] + 0.5 * (c[1:] - c[:-1]) for c in runs)])
+    x = x.reshape(-1, *[1] * len(lines))
     ev = evaluate_grid(w.psi, *((x, fixed) if axis == 0 else (fixed, x)), w.kind)
-    bad_row = ev.bad.reshape(len(x), -1).any(axis=1)
     # the lattice row of each stage of each step, run after run: node,
     # midpoint twice, next node; a run's first step starts at the base row 0
     nxt = np.arange(1, steps + 1)
-    node = np.where(np.concatenate([np.arange(m) == 0 for m in n]), 0, nxt - 1)
+    node = nxt - 1
+    node[n[0]:n[0] + 1] = 0
     rows = np.stack([node, steps + nxt, steps + nxt, nxt])
-    psi = np.stack([val[axis] for val in ev.values], axis=-1)[rows]
-    h = (x[nxt] - x[node])[..., None]
-    split = np.cumsum(n)[:-1]
-    outs = [np.empty((m + 1, *y.shape)) for m in n]
-    at = np.zeros((4, steps, *y.shape))  # the stage points, filled level by level
-
-    def level(cols, frames):
-        k = np.stack([2.0 * (a[..., cols, :, None] * p[..., None, :, None]).sum(axis=-2)[..., 0]
-                      for a, p in zip(frames, psi)])
-        inc = (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-        for out, part in zip(outs, np.split(inc, split)):
-            out[..., cols] = np.add.accumulate(np.concatenate([y[None, ..., cols], part]))
-        start = np.concatenate([out[:-1, ..., cols] for out in outs])  # each step's state
-        at[0, ..., cols] = start
-        at[1:3, ..., cols] = start + 0.5 * h * k[:2]
-        at[3, ..., cols] = start + h * k[2]
-
-    def frames():  # at most FRAME_POINTS stage points, or one stage, per call
-        per = max(1, FRAME_POINTS // (steps * y[..., 0].size))
-        return (a for j in range(0, 4, per) for a in frame_matrix(s, at[j:j + per]))
-
-    level(slice(3, 4), [frame_matrix(s, y)] * 4)  # t: the frame's t row is constant
-    level(slice(0, 2), frames())
-    level(slice(2, 3), frames())
-    for run, out, r in zip(runs, outs, np.split(rows, split, axis=1)):
+    psi = np.stack([val[axis] for val in ev.values])[:, rows]  # (component, stage, step, ...)
+    h = x[nxt] - x[node]
+    h6 = h / 6.0
+    hk = np.stack([0.5 * h, 0.5 * h, h])  # k1, k2 and k3 to the next stage points
+    at = np.empty((4, 4, steps, *lines))  # the stage points, component-major
+    points = at.transpose(*range(1, at.ndim), 0)
+    per = max(1, FRAME_POINTS // (steps * (y.size // 4)))  # stages per frame call
+    # the t row is constant, so the t level reads its frame once, at y
+    for frame_rows, where, chunk in (((3,), y[None, None], 4), ((0, 1), points, per),
+                                     ((2,), points, per)):
+        cols = slice(frame_rows[0], frame_rows[-1] + 1)
+        k = np.empty((len(frame_rows), 4, steps, *lines))
+        for j in range(0, 4, chunk):
+            a = frame_matrix(s, where[j:j + chunk], frame_rows)
+            a = a.transpose(-2, -1, *range(a.ndim - 2))  # (row, component, stage, step, ...)
+            np.add.reduce(a * psi[:, j:j + chunk], axis=1, out=k[:, j:j + chunk])
+        k *= 2.0
+        inc = h6 * (k[:, 0] + 2.0 * k[:, 1] + 2.0 * k[:, 2] + k[:, 3])
+        for run, (i, m) in zip(states, spans):
+            part = run[cols]
+            part[:, 1:] = inc[:, i:m]
+            np.add.accumulate(part, axis=1, out=part)
+        if frame_rows == (2,):
+            break  # no frame row reads z, so z needs no stage points
+        for run, (i, m) in zip(states, spans):
+            at[cols, 0, i:m] = run[cols, :-1]
+        np.add(at[cols, :1], hk * k[:, :3], out=at[cols, 1:])
+    if not ev.bad.any() and np.isfinite(out[:, [0, -1]]).all():
+        return nodes  # a non-finite state stays non-finite along its run
+    bad_row = ev.bad.reshape(len(x), -1).any(axis=1)
+    for run, (i, m), c in zip(states, spans, runs):
         # per step: its four stages' psi rows, then the state it reaches
-        blown = ~np.isfinite(out[1:]).all(axis=tuple(range(1, out.ndim)))
-        events = np.column_stack([bad_row[r].T, blown])
+        blown = ~np.isfinite(run[:, 1:]).all(axis=(0, *range(2, run.ndim)))
+        events = np.column_stack([bad_row[rows[:, i:m]].T, blown])
         if events.any():
-            i, j = divmod(int(events.argmax()), 5)
-            if j == 4:
-                raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(run[i + 1])!r}")
-            exc = next(e for k, e in ev.errors() if k[0] == r[j, i])
+            step, stage = divmod(int(events.argmax()), 5)
+            if stage == 4:
+                raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(c[step + 1])!r}")
+            exc = next(e for index, e in ev.errors() if index[0] == rows[stage, i + step])
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
-    return outs
+    return nodes
 
 
 def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
     """(nu, nv, 4) mesh marched out from f0 at the base node.
 
     The base line runs along u (along v if transposed) through the base
-    node; then every line crossing it is marched as one stacked state.
+    node; then every line crossing it is marched as one stacked state,
+    with the other parameter held at its node on the base line.
     """
     nodes = (grid.u_nodes, grid.v_nodes)
     base = grid.base_index
     first = 1 if transposed else 0  # the axis the base line runs along
     second = 1 - first
-
-    def sweep(state, axis, fixed):
-        # march out both ways from the base node along the given axis, with the
-        # other parameter held at fixed (a scalar or one per line); the midpoints
-        # are taken per direction, as reversed steps round differently
-        coords, k = nodes[axis], base[axis]
-        ahead, behind = _rk4(s, w, state, [coords[k:], coords[k::-1]], fixed, axis)
-        return np.concatenate([behind[:0:-1], ahead])
-
     # a state that blows up, and every state marched on from it, is caught by
     # _rk4's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        line = sweep(np.asarray(f0, dtype=float), first, nodes[second][base[second]])
-        sheet = sweep(line, second, nodes[first])
+        line = _rk4(s, w, np.asarray(f0, dtype=float), nodes[first], base[first],
+                    nodes[second][base[second]], first)
+        sheet = _rk4(s, w, line, nodes[second], base[second], nodes[first], second)
+    # node-major, each node's four coordinates adjacent, as the mesh's readers iterate
+    sheet = np.ascontiguousarray(sheet)
     return sheet if transposed else sheet.swapaxes(0, 1)
 
 

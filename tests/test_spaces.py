@@ -71,6 +71,19 @@ class TestFrame:
         assert A[2, 0] == pytest.approx(-1.5)
         assert A[2, 1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rows", [(3,), (0, 1), (2,), (0, 1, 2, 3), (3, 1)])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_rows_are_rows_of_the_full_frame(self, shape, rows):
+        # the march asks for the rows of one level: each is bit-equal to that
+        # row of the full frame, in the order asked
+        rng = random.Random(17)
+        pts = np.array([p.as_array() for p in random_points(rng, math.prod(shape))])
+        pts = pts.reshape(shape + (4,))
+        for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
+            got = frame_matrix(s, pts, rows)
+            assert got.shape == shape + (len(rows), 4)
+            assert got.tobytes() == frame_matrix(s, pts)[..., list(rows), :].tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_orthonormality_random(self, seed):
         rng = random.Random(seed)

@@ -155,11 +155,12 @@ def oracle_march(s, w, grid, f0, transposed):
     return sheet if transposed else sheet.swapaxes(0, 1)
 
 
-def march_outcome(march, p, texts, grid, transposed):
-    """The mesh bytes, or the StepFailureError text, of one march."""
+def march_outcome(march, p, texts, grid, transposed, c=None):
+    """The mesh bytes, or the StepFailureError text, of one march (in a model with c, if given)."""
     w = WeierstrassData.from_strings(texts, p.algebra)
+    s = p.model() if c is None else dataclasses.replace(p.model(), c=c)
     try:
-        return march(p.model(), w, grid, p.f0, transposed).tobytes()
+        return march(s, w, grid, p.f0, transposed).tobytes()
     except StepFailureError as exc:
         return str(exc)
 
@@ -171,17 +172,42 @@ BASIC = PRESETS["s41-timelike-basic"]
 SKEWED_AHEAD, SKEWED_BEHIND = (DomainGrid(0.23, 2.7, -1, 1, 7, 7, u0, 0) for u0 in (0.23, 2.7))
 
 
+def entries_replaced(entries):
+    """spaces.frame_matrix with the given (row, column) entries replaced by value(p)."""
+
+    def mutant(s, p, rows=(0, 1, 2, 3)):
+        a = spaces.frame_matrix(s, p, rows)
+        for (row, col), value in entries.items():
+            if row in rows:
+                a[..., rows.index(row), col] = value(np.asarray(p, dtype=float))
+        return a
+
+    return mutant
+
+
+FRAME_MUTANTS = {
+    "exp(-t/2) in rows 0-1": entries_replaced(
+        {(r, r): lambda p: np.exp(-0.5 * p[..., 3]) for r in (0, 1)}),
+    "exp(-t) in row 2": entries_replaced({(2, 2): lambda p: np.exp(-p[..., 3])}),
+    "2 in row 3": entries_replaced({(3, 3): lambda p: 2.0}),
+}
+
+
 def off_centre(grid, **base):
     """The grid at 9x9 with its base node moved to the given u0 and/or v0."""
     return dataclasses.replace(grid.with_resolution(9, 9), **base)
 
 
-# (preset, psi texts): the presets' psi depend on u alone, the last row on v too
+# (preset, psi texts, c of the model or None for the preset's): the presets' psi
+# depend on u alone, the v row on v too; every preset has c = 1, so the last row
+# marches in a model with c = -1.3, where frame row 2 (z) reads c
 MARCH_DATA = [
-    pytest.param(name, list(p.psi_texts), id=name) for name, p in sorted(PRESETS.items())
+    pytest.param(name, list(p.psi_texts), None, id=name) for name, p in sorted(PRESETS.items())
 ]
-MARCH_DATA.append(pytest.param("s41-timelike-basic", ["tau/u + 1e-4*v", "0", "0", "1/u"],
+MARCH_DATA.append(pytest.param("s41-timelike-basic", ["tau/u + 1e-4*v", "0", "0", "1/u"], None,
                                id="s41-timelike-basic-v"))
+MARCH_DATA.append(pytest.param("s41-timelike-basic", list(BASIC.psi_texts), -1.3,
+                               id="s41-timelike-basic-c-1.3"))
 
 
 class TestLatticeMarchAgainstOracle:
@@ -198,13 +224,13 @@ class TestLatticeMarchAgainstOracle:
         pytest.param(lambda grid: SKEWED_AHEAD, id="skewed-ahead"),
         pytest.param(lambda grid: SKEWED_BEHIND, id="skewed-behind"),
     ])
-    @pytest.mark.parametrize("name, texts", MARCH_DATA)
-    def test_meshes_bit_identical(self, name, texts, n, transposed):
+    @pytest.mark.parametrize("name, texts, c", MARCH_DATA)
+    def test_meshes_bit_identical(self, name, texts, c, n, transposed):
         p = PRESETS[name]
         grid = p.grid.with_resolution(n, n) if isinstance(n, int) else n(p.grid)
-        got = march_outcome(_march, p, texts, grid, transposed)
+        got = march_outcome(_march, p, texts, grid, transposed, c)
         assert isinstance(got, bytes)
-        assert got == march_outcome(oracle_march, p, texts, grid, transposed)
+        assert got == march_outcome(oracle_march, p, texts, grid, transposed, c)
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -273,13 +299,40 @@ class TestLatticeMarchAgainstOracle:
         grid = BASIC.grid.with_resolution(9, 9)
         genuine = march_outcome(_march, BASIC, list(BASIC.psi_texts), grid, transposed)
         monkeypatch.setattr(synthesis, "frame_matrix",
-                            lambda s, p: spaces.frame_matrix(dataclasses.replace(s, c=-s.c), p))
+                            lambda s, p, *rows: spaces.frame_matrix(dataclasses.replace(s, c=-s.c),
+                                                                    p, *rows))
         mutant = march_outcome(_march, BASIC, list(BASIC.psi_texts), grid, transposed)
         assert isinstance(mutant, bytes) and mutant != genuine
 
+    @pytest.mark.parametrize("mutant, name, transposed", [
+        # rows 0 and 1 (x, y): the s43 vertical preset has psi1 = psi2 = 0
+        ("exp(-t/2) in rows 0-1", "s41-timelike-basic", False),
+        # row 2 (z): the one preset with psi3 != 0
+        ("exp(-t) in row 2", "s43-timelike-vertical", False),
+        # row 3 (t): every preset has psi4 != 0
+        *(("2 in row 3", name, transposed) for name in sorted(PRESETS)
+          for transposed in (False, True)),
+    ])
+    def test_each_level_reads_its_rows_through_synthesis(self, mutant, name, transposed,
+                                                         monkeypatch):
+        # each level applies the frame rows it asks synthesis.frame_matrix for: a
+        # mutant of one entry moves the mesh of data that the entry multiplies.
+        # The presets' x, y and z move along v only, so in the transposed order
+        # rows 0-2 multiply psi only on the base line, where t = 0 and each
+        # mutated entry equals the genuine one
+        p = PRESETS[name]
+        grid = p.grid.with_resolution(9, 9)
+        genuine = march_outcome(_march, p, list(p.psi_texts), grid, transposed)
+        monkeypatch.setattr(synthesis, "frame_matrix", FRAME_MUTANTS[mutant])
+        moved = march_outcome(_march, p, list(p.psi_texts), grid, transposed)
+        assert isinstance(moved, bytes) and moved != genuine
+
     def test_transient_memory_stays_flat(self):
-        # FRAME_POINTS bounds the frame of the stage points: about 12 MB at
-        # 129^2, where one frame call on all four stages peaks at about 17.5 MB
+        # one march at 129^2 peaks at about 9.7 MB: the psi lattice, its values
+        # at the four stages of every step and the stage points take about 2 MB
+        # each, and FRAME_POINTS bounds a frame call's rows and its product with
+        # psi to about 1 MB each; a march that builds the full 4x4 frame of every
+        # stage and applies it stage by stage peaks at about 11.6 MB
         grid = BASIC.grid.with_resolution(129, 129)
         tracemalloc.start()
         try:
@@ -287,7 +340,7 @@ class TestLatticeMarchAgainstOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 11e6
 
 
 class TestTranslationEquivariance:
