@@ -3,7 +3,9 @@
 Subcommands: validate, synthesize, verify, export, examples.  Runs are
 described either by an INI config file or by a named built-in preset.
 Exit codes form a stable contract: 0 pass, 1 mathematical failure,
-2 input error, 3 numerical failure.
+2 input error, 3 numerical failure.  A command returns 0 or 1 from its
+report and raises on any other outcome; main alone maps what it raises
+to an exit code.
 """
 
 from __future__ import annotations
@@ -13,15 +15,15 @@ import configparser
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import Kind
-from .expr import ExprError, WeierstrassData
-from .presets import PRESETS, Preset, reference_error
-from .spaces import Point, SpaceKind, SpaceModel
+from .expr import ExprError
+from .presets import PRESETS, ConfigError, RunConfig, reference_error
+from .spaces import Point, SpaceKind
 from .synthesis import (
     StepFailureError,
     SurfaceMesh,
@@ -36,32 +38,6 @@ EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-
-class ConfigError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    space: SpaceKind
-    c: float
-    algebra: Kind
-    grid: DomainGrid
-    psi_texts: tuple[str, str, str, str]
-    f0: Point
-    tolerances: ValidationTolerances
-    out_dir: Path
-    preset: Preset | None = None
-
-    def model(self) -> SpaceModel:
-        return SpaceModel(self.space, self.c)
-
-    def weierstrass(self) -> WeierstrassData:
-        try:
-            return WeierstrassData.from_strings(self.psi_texts, self.algebra)
-        except ExprError as exc:
-            raise ConfigError(f"bad component formula: {exc}") from exc
 
 
 _SCHEMA = {
@@ -97,11 +73,14 @@ def load_config(path) -> RunConfig:
         if default is not None and key not in cp[section]:
             return default
         try:
-            return float(cp[section][key])
+            val = float(cp[section][key])
         except KeyError as exc:
             raise ConfigError(f"missing key {key!r} in [{section}]") from exc
         except ValueError as exc:
             raise ConfigError(f"key {key!r} in [{section}] is not a number") from exc
+        if not math.isfinite(val):
+            raise ConfigError(f"key {key!r} in [{section}] must be finite, got {val!r}")
+        return val
 
     def geti(section, key):
         try:
@@ -142,7 +121,7 @@ def load_config(path) -> RunConfig:
     if "tolerances" in cp:
         for key in (f.name for f in fields(tol)):
             val = getf("tolerances", key, getattr(tol, key))
-            if not (math.isfinite(val) and val > 0.0):
+            if not val > 0.0:
                 raise ConfigError(f"tolerance {key!r} must be finite and positive, got {val!r}")
             tol = replace(tol, **{key: val})
     out_dir = Path(cp["output"]["directory"]) if "output" in cp and "directory" in cp["output"] else Path(".")
@@ -157,22 +136,17 @@ def config_from_preset(name: str) -> RunConfig:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    p = PRESETS[name]
-    return RunConfig(
-        space=p.space, c=p.c, algebra=p.algebra, grid=p.grid,
-        psi_texts=p.psi_texts, f0=p.f0,
-        tolerances=ValidationTolerances(), out_dir=Path("."), preset=p,
-    )
+    return PRESETS[name]
 
 
 def _resolve_config(args) -> RunConfig:
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = config_from_preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = load_config(args.config)
     else:
         raise ConfigError("either --config or --preset is required")
-    if getattr(args, "grid", None):
+    if args.grid:
         try:
             nu_s, nv_s = args.grid.lower().split("x")
             grid = cfg.grid.with_resolution(int(nu_s), int(nv_s))
@@ -206,41 +180,35 @@ def cmd_synthesize(args) -> int:
         print("WARNING: synthesizing from data that failed validation (--force)")
         for reason in report.failures():
             print(f"  - {reason}")
-    try:
-        mesh = synthesize(model, w, cfg.grid, cfg.f0, report=report, force=args.force)
-        gap = path_independence(model, w, mesh)
-    except ValidationRefusedError:
-        print(report.summary())
-        print("refusing to synthesize from invalid data (use --force to override)")
-        return EXIT_MATH_FAILURE
-    except StepFailureError as exc:
-        print(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL_FAILURE
+    mesh = synthesize(model, w, cfg.grid, cfg.f0, report=report, force=args.force)
+    gap = path_independence(model, w, mesh)
     mesh.provenance.update({f"psi{k+1}": cfg.psi_texts[k] for k in range(4)})
     out = Path(args.out) if args.out else cfg.out_dir / "mesh.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     mesh.to_csv(out)
     print(f"mesh written to {out}")
     print(f"path-independence discrepancy: {gap:.6e}")
-    if cfg.preset is not None:
-        err = reference_error(cfg.preset, mesh)
+    if cfg.reference_texts:
+        err = reference_error(cfg, mesh)
         print(f"closed-form max coordinate error: {err:.6e}")
     return EXIT_PASS
 
 
+def _read_mesh(path) -> SurfaceMesh:
+    try:
+        return SurfaceMesh.from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read mesh file: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    try:
-        mesh = SurfaceMesh.from_csv(args.mesh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read mesh file: {exc}")
-        return EXIT_INPUT_ERROR
+    mesh = _read_mesh(args.mesh)
     w = cfg.weierstrass()
     try:
         report = verify_mesh(cfg.model(), mesh, w)
     except ValueError as exc:
-        print(f"cannot verify mesh: {exc}")
-        return EXIT_INPUT_ERROR
+        raise ConfigError(f"cannot verify mesh: {exc}") from exc
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / "verification.csv"
     report.to_csv(csv_path)
@@ -253,11 +221,12 @@ _AXES = {"x": 0, "y": 1, "z": 2, "t": 3}
 
 
 def cmd_export(args) -> int:
-    try:
-        mesh = SurfaceMesh.from_csv(args.mesh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read mesh file: {exc}")
-        return EXIT_INPUT_ERROR
+    mesh = _read_mesh(args.mesh)
+    g = mesh.grid
+    bad = np.argwhere(~np.isfinite(mesh.nodes).all(axis=-1))
+    if len(bad):
+        u, v = float_text([g.u_nodes[bad[0, 0]], g.v_nodes[bad[0, 1]]])
+        raise ConfigError(f"cannot export mesh: non-finite node at (u, v) = ({u}, {v})")
     out = Path(args.out) if args.out else Path(f"mesh.{args.format}")
     if args.format == "csv":
         mesh.to_csv(out)
@@ -265,14 +234,11 @@ def cmd_export(args) -> int:
         return EXIT_PASS
     axes = [a.strip() for a in (args.projection or "x,y,z").split(",")]
     if len(axes) != 3 or any(a not in _AXES for a in axes):
-        print(f"bad projection {args.projection!r}: need 3 of x,y,z,t")
-        return EXIT_INPUT_ERROR
+        raise ConfigError(f"bad projection {args.projection!r}: need 3 of x,y,z,t")
     if len(set(axes)) != 3:
-        print(f"bad projection {args.projection!r}: duplicate axis")
-        return EXIT_INPUT_ERROR
+        raise ConfigError(f"bad projection {args.projection!r}: duplicate axis")
     idx = [_AXES[a] for a in axes]
     scalar_idx = ({0, 1, 2, 3} - set(idx)).pop()
-    g = mesh.grid
     with open(out, "w") as fh:
         fh.write(f"# projection {','.join(axes)}; vertex w holds coordinate "
                  f"{'xyzt'[scalar_idx]}\n")
@@ -339,7 +305,14 @@ def main(argv=None) -> int:
                "export": cmd_export, "examples": cmd_examples}[args.command]
     try:
         return command(args)
-    except (ConfigError, ExprError) as exc:
+    except ValidationRefusedError as exc:
+        print(exc.report.summary())
+        print("refusing to synthesize from invalid data (use --force to override)")
+        return EXIT_MATH_FAILURE
+    except StepFailureError as exc:
+        print(f"numerical failure: {exc}")
+        return EXIT_NUMERICAL_FAILURE
+    except (ConfigError, ExprError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"input error: {exc}")
         return EXIT_INPUT_ERROR
 

@@ -1,42 +1,57 @@
-"""Built-in surface datasets with machine-readable closed forms.
+"""Run configurations, and the built-in surface datasets.
 
-Four ready-to-run configurations, two per ambient space, covering both
-causal characters.  Each ships the closed-form coordinate fields of the
-surface it integrates to, stored as expression strings in (u, v) and
-checked against the marched mesh by the CLI and the test suite.  The
-closed forms were derived by substituting into the tangent field and
-integrating by hand; free additive constants are realized through the
-initial point, and couplings between them (the z-coordinate reference
-absorbs a factor c * y0) are encoded rather than left symbolic.
+A run is one frozen RunConfig, whether it comes from an INI file or from
+one of the four ready-to-run presets, two per ambient space, covering
+both causal characters.  Each preset ships the closed-form coordinate
+fields of the surface it integrates to, stored as expression strings in
+(u, v) and checked against the marched mesh by the CLI and the test
+suite.  The closed forms were derived by substituting into the tangent
+field and integrating by hand; free additive constants are realized
+through the initial point, and couplings between them (the z-coordinate
+reference absorbs a factor c * y0) are encoded rather than left symbolic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import expr
 from .algebra import Kind
+from .expr import ExprError, WeierstrassData
 from .spaces import Point, SpaceKind, SpaceModel
-from .weierstrass import DomainGrid
+from .weierstrass import DomainGrid, ValidationTolerances
+
+
+class ConfigError(Exception):
+    pass
 
 
 @dataclass(frozen=True)
-class Preset:
-    name: str
-    description: str
+class RunConfig:
     space: SpaceKind
     c: float
     algebra: Kind
+    grid: DomainGrid
     psi_texts: tuple[str, str, str, str]
     f0: Point
-    grid: DomainGrid
-    reference_texts: tuple[str, str, str, str]
+    tolerances: ValidationTolerances = ValidationTolerances()
+    out_dir: Path = Path(".")
+    name: str = ""
+    description: str = ""
+    reference_texts: tuple[str, str, str, str] | None = None  # closed-form x, y, z, t
 
     def model(self) -> SpaceModel:
         return SpaceModel(self.space, self.c)
+
+    def weierstrass(self) -> WeierstrassData:
+        try:
+            return WeierstrassData.from_strings(self.psi_texts, self.algebra)
+        except ExprError as exc:
+            raise ConfigError(f"bad component formula: {exc}") from exc
 
 
 _DEFAULT_GRID = DomainGrid(1.0, 2.0, -1.0, 1.0, 101, 101, 1.0, 0.0)
@@ -52,11 +67,11 @@ def _log(const: float, scale: float, u0: float) -> str:
     return f"({const!r}) + ({scale!r})*ln(u/({u0!r}))"
 
 
-def _axis_preset(name, description, space, algebra, c, f0, grid) -> Preset:
+def _axis_preset(name, description, space, algebra, c, f0, grid) -> RunConfig:
     """psi = (unit/u, 0, 0, 1/u): translation surface over the u-axis pair."""
     u0, v0 = grid.base_point
     unit = algebra.unit_symbol
-    return Preset(
+    return RunConfig(
         name=name,
         description=description,
         space=space,
@@ -74,14 +89,14 @@ def _axis_preset(name, description, space, algebra, c, f0, grid) -> Preset:
     )
 
 
-def _diagonal_preset(name, description, space, c, f0, grid) -> Preset:
+def _diagonal_preset(name, description, space, c, f0, grid) -> RunConfig:
     """psi1 = psi2 = tau/(sqrt(2) u), psi4 = 1/u; needs x0 = y0."""
     if f0.x != f0.y:
         raise ValueError("diagonal data keeps x - y constant at 0; need x0 = y0")
     u0, v0 = grid.base_point
     root2 = math.sqrt(2.0)
     slope = root2 / u0
-    return Preset(
+    return RunConfig(
         name=name,
         description=description,
         space=space,
@@ -99,10 +114,10 @@ def _diagonal_preset(name, description, space, c, f0, grid) -> Preset:
     )
 
 
-def _vertical_preset(name, description, space, c, f0, grid) -> Preset:
+def _vertical_preset(name, description, space, c, f0, grid) -> RunConfig:
     """psi3 = tau/(2u), psi4 = 1/(2u): motion in the central direction."""
     u0, v0 = grid.base_point
-    return Preset(
+    return RunConfig(
         name=name,
         description=description,
         space=space,
@@ -120,7 +135,7 @@ def _vertical_preset(name, description, space, c, f0, grid) -> Preset:
     )
 
 
-def build_presets() -> dict[str, Preset]:
+def build_presets() -> dict[str, RunConfig]:
     return {
         p.name: p
         for p in (
@@ -165,12 +180,12 @@ def build_presets() -> dict[str, Preset]:
 PRESETS = build_presets()
 
 
-def reference_fields(preset: Preset):
+def reference_fields(preset: RunConfig):
     """Parsed closed-form coordinate expressions of the preset surface."""
     return tuple(expr.parse(t, preset.algebra) for t in preset.reference_texts)
 
 
-def reference_error(preset: Preset, mesh) -> float:
+def reference_error(preset: RunConfig, mesh) -> float:
     """Max abs gap between a synthesized mesh and the preset closed forms."""
     g = mesh.grid
     ev = expr.evaluate_grid(

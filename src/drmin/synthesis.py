@@ -93,7 +93,10 @@ class SurfaceMesh:
     def from_csv(cls, path) -> "SurfaceMesh":
         """Read a mesh written by to_csv, with CRLF or LF line endings.
 
-        A header, metadata line, row or cell that does not fit raises ValueError.
+        A header, metadata line, row or cell that does not fit raises
+        ValueError, as does a row whose u or v is not the grid node of its
+        position to within 1e-3 of the grid spacing (to_csv writes them
+        exactly; the margin admits hand-typed decimals).
         """
         meta = {}
 
@@ -138,10 +141,20 @@ class SurfaceMesh:
         provenance = {
             k: v for k, v in meta.items() if k not in ("space", "c", "algebra", "grid")
         }
-        return cls(
+        mesh = cls(
             grid=grid, nodes=nodes, kind=kind, space=meta["space"],
             c=float(meta["c"]), provenance=provenance,
         )
+        uv = data[:, :2].reshape(grid.nu, grid.nv, 2)
+        want = np.stack(np.meshgrid(grid.u_nodes, grid.v_nodes, indexing="ij"), axis=-1)
+        off = ~(np.abs(uv - want) <= 1e-3 * np.array(mesh.spacing)).all(axis=-1)  # NaN is off
+        if off.any():
+            i, j = np.argwhere(off)[0]
+            raise ValueError(
+                f"mesh row {i * grid.nv + j + 1} has (u, v) = ({', '.join(float_text(uv[i, j]))})"
+                f" where the grid node is ({', '.join(float_text(want[i, j]))})"
+            )
+        return mesh
 
 
 def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
@@ -158,7 +171,8 @@ def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
     increments in marching order, in place.  The arrays are held
     coordinate-major, so each operation runs over whole blocks.  psi is
     evaluated once, on the base node and every later node and step
-    midpoint a + 0.5*h.  Only if psi failed somewhere or a run ends
+    midpoint a + 0.5*h; once gathered per stage, only its failed nodes and
+    their errors are kept.  Only if psi failed somewhere or a run ends
     non-finite is the first failure sought: a run fails at its first stage
     reading a node where psi fails or at its first non-finite state, the
     run ahead first.
@@ -185,6 +199,9 @@ def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
     node[n[0]:n[0] + 1] = 0
     rows = np.stack([node, steps + nxt, steps + nxt, nxt])
     psi = np.stack([val[axis] for val in ev.values])[:, rows]  # (component, stage, step, ...)
+    # keep only the failures: the lattice values are freed once psi is gathered
+    bad, errors = ev.bad.reshape(len(x), -1), ev.first_errors
+    del ev
     h = x[nxt] - x[node]
     h6 = h / 6.0
     hk = np.stack([0.5 * h, 0.5 * h, h])  # k1, k2 and k3 to the next stage points
@@ -211,9 +228,9 @@ def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
         for run, (i, m) in zip(states, spans):
             at[cols, 0, i:m] = run[cols, :-1]
         np.add(at[cols, :1], hk * k[:, :3], out=at[cols, 1:])
-    if not ev.bad.any() and np.isfinite(out[:, [0, -1]]).all():
+    if not bad.any() and np.isfinite(out[:, [0, -1]]).all():
         return nodes  # a non-finite state stays non-finite along its run
-    bad_row = ev.bad.reshape(len(x), -1).any(axis=1)
+    bad_row = bad.any(axis=1)
     for run, (i, m), c in zip(states, spans, runs):
         # per step: its four stages' psi rows, then the state it reaches
         blown = ~np.isfinite(run[:, 1:]).all(axis=(0, *range(2, run.ndim)))
@@ -222,7 +239,8 @@ def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
             step, stage = divmod(int(events.argmax()), 5)
             if stage == 4:
                 raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(c[step + 1])!r}")
-            exc = next(e for index, e in ev.errors() if index[0] == rows[stage, i + step])
+            row = rows[stage, i + step]  # its first bad node, row-major, as evaluate_grid keys it
+            exc = errors[row * bad.shape[1] + int(bad[row].argmax())]
             raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
     return nodes
 

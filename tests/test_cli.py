@@ -95,7 +95,7 @@ class TestConfig:
 
     def test_preset_lookup(self):
         cfg = config_from_preset("s41-timelike-basic")
-        assert cfg.preset is not None
+        assert cfg.reference_texts is not None
         with pytest.raises(ConfigError, match="unknown preset"):
             config_from_preset("does-not-exist")
 
@@ -391,6 +391,99 @@ class TestExport:
         code = main(["export", str(mesh_file), "--format", "csv", "--out", str(out)])
         assert code == EXIT_PASS
         assert out.read_bytes() == mesh_file.read_bytes()
+
+
+def _ini(*edits, extra=""):
+    text = GOOD_INI
+    for old, new in edits:
+        text = text.replace(old, new)
+    return text + extra
+
+
+def _data(lines):
+    """Index of the first data row of a mesh file's lines."""
+    return lines.index("u,v,x,y,z,t") + 1
+
+
+def _nan_node(lines):
+    # node (4, 5) of the 9x9 mesh, at (u, v) = (1.5, 0.25), gets a NaN t
+    k = _data(lines) + 4 * 9 + 5
+    return lines[:k] + [lines[k].rsplit(",", 1)[0] + ",nan"] + lines[k + 1:]
+
+
+def _uv_seven(lines):
+    k = _data(lines)
+    return lines[:k] + ["7.0,7.0," + l.split(",", 2)[2] for l in lines[k:]]
+
+
+def _swap_rows(lines):
+    k = _data(lines)
+    return lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2:]
+
+
+VALIDATE, VERIFY = ["validate", "--config", "run.ini"], ["verify", "bad.csv", "--config", "run.ini"]
+SYNTHESIZE = ["synthesize", "--config", "run.ini", "--out", "m.csv"]
+
+# (id, run.ini text, mesh.csv edit giving bad.csv, argv, exit code, a text stdout names)
+CONTRACT = [
+    ("bad-formula", _ini(("psi1 = tau/u", "psi1 = tau//u")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "input error: bad component formula"),
+    ("refused-data", _ini(("psi4 = 1/u", "psi4 = u")), None, SYNTHESIZE,
+     EXIT_MATH_FAILURE, "refusing to synthesize from invalid data"),
+    ("blow-up", _ini(("psi1 = tau/u", "psi1 = tau*u^40"), ("psi4 = 1/u", "psi4 = u^60")),
+     None, SYNTHESIZE + ["--force"],
+     EXIT_NUMERICAL_FAILURE, "numerical failure: non-finite state"),
+    ("truncated-mesh", GOOD_INI, lambda lines: lines[:-3], VERIFY,
+     EXIT_INPUT_ERROR, "truncated"),
+    ("header-mismatch", GOOD_INI,
+     lambda lines: ["# c: 2.0" if l == "# c: 1.0" else l for l in lines],
+     VERIFY, EXIT_INPUT_ERROR, "(c 2.0 vs 1.0)"),
+    ("synthesize-out-under-a-file", GOOD_INI, None,
+     ["synthesize", "--config", "run.ini", "--out", "mesh.csv/x.csv"],
+     EXIT_INPUT_ERROR, "mesh.csv"),
+    ("export-out-a-directory", GOOD_INI, None, ["export", "mesh.csv", "--out", "sub"],
+     EXIT_INPUT_ERROR, "sub"),
+    ("output-directory-a-file", _ini(extra="\n[output]\ndirectory = mesh.csv\n"), None, VALIDATE,
+     EXIT_INPUT_ERROR, "mesh.csv"),
+    ("c-nan", _ini(("c = 1.0", "c = nan")), None, VALIDATE, EXIT_INPUT_ERROR, "'c' in [space]"),
+    ("u_max-inf", _ini(("u_max = 2.0", "u_max = inf")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "'u_max' in [domain]"),
+    ("v_min-minus-inf", _ini(("v_min = -1.0", "v_min = -inf")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "'v_min' in [domain]"),
+    ("initial-t-nan", _ini(("t = 0.0", "t = nan")), None, SYNTHESIZE,
+     EXIT_INPUT_ERROR, "'t' in [initial]"),
+    ("export-obj-non-finite-node", GOOD_INI, _nan_node, ["export", "bad.csv", "--out", "s.obj"],
+     EXIT_INPUT_ERROR, "non-finite node at (u, v) = (1.5, 0.25)"),
+    ("export-csv-non-finite-node", GOOD_INI, _nan_node,
+     ["export", "bad.csv", "--format", "csv", "--out", "s.csv"],
+     EXIT_INPUT_ERROR, "non-finite node at (u, v) = (1.5, 0.25)"),
+    ("verify-non-finite-node", GOOD_INI, _nan_node, VERIFY, EXIT_MATH_FAILURE, "verdict: FAIL"),
+    ("uv-all-seven", GOOD_INI, _uv_seven, VERIFY,
+     EXIT_INPUT_ERROR, "mesh row 1 has (u, v) = (7.0, 7.0) where the grid node is (1.0, -1.0)"),
+    ("uv-swapped-rows", GOOD_INI, _swap_rows, ["export", "bad.csv", "--out", "s.obj"],
+     EXIT_INPUT_ERROR, "mesh row 1 has (u, v) = (1.0, -0.75)"),
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("ini, edit, argv, code, named",
+                             [row[1:] for row in CONTRACT], ids=[row[0] for row in CONTRACT])
+    def test_failing_invocation(self, tmp_path, monkeypatch, capsys, ini, edit, argv, code, named):
+        # every failure ends in its documented code and a message, never a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "good.ini").write_text(GOOD_INI)
+        assert main(["synthesize", "--config", "good.ini", "--out", "mesh.csv"]) == EXIT_PASS
+        if edit:
+            lines = (tmp_path / "mesh.csv").read_text().splitlines()
+            (tmp_path / "bad.csv").write_text("\n".join(edit(lines)) + "\n")
+        (tmp_path / "run.ini").write_text(ini)
+        capsys.readouterr()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert named in captured.out and "Traceback" not in captured.out
+        assert captured.err == ""
+        assert not {"m.csv", "s.obj", "s.csv"} & {p.name for p in tmp_path.iterdir()}
 
 
 class TestDeterminism:

@@ -160,3 +160,37 @@ class TestFlowFiles:
             for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1))
         ]
         assert [[int(x) for x in f[1:]] for f in faces] == want
+
+
+class TestMeshNodeColumns:
+    """from_csv reads u and v back against the grid node of each row's position."""
+
+    def write(self, tmp_path, edit_uv):
+        grid = DomainGrid(1.0, 2.0, -1.0, 1.0, 7, 4, 1.0, 0.0)  # spacings 1/6 and 2/3
+        mesh = synthesize(S41, AXIS_PARA, grid, PRESETS["s41-timelike-basic"].f0)
+        mesh.to_csv(tmp_path / "mesh.csv")
+        lines = (tmp_path / "mesh.csv").read_text().splitlines()
+        start = lines.index(",".join(MESH_CSV_COLUMNS)) + 1
+        for k in range(start, len(lines)):
+            u, v, rest = lines[k].split(",", 2)
+            lines[k] = ",".join([*edit_uv(float(u), float(v)), rest])
+        (tmp_path / "edited.csv").write_text("\n".join(lines) + "\n")
+        return mesh
+
+    def test_hand_typed_decimals_load(self, tmp_path):
+        mesh = self.write(tmp_path, lambda u, v: (f"{u:.4f}", f"{v:.4f}"))
+        assert "1.1667,-0.3333" in (tmp_path / "edited.csv").read_text()
+        back = SurfaceMesh.from_csv(tmp_path / "edited.csv")
+        assert back.nodes.tobytes() == mesh.nodes.tobytes()
+
+    @pytest.mark.parametrize("edit_uv, named", [
+        (lambda u, v: ("7.0", "7.0"),
+         "mesh row 1 has (u, v) = (7.0, 7.0) where the grid node is (1.0, -1.0)"),
+        (lambda u, v: (repr(u), repr(v + 0.01)), "mesh row 1 has (u, v) = (1.0, -0.99)"),
+        (lambda u, v: (repr(u), "nan"), "mesh row 1 has (u, v) = (1.0, nan)"),
+    ], ids=["all-seven", "off-by-1.5-percent-of-a-step", "nan"])
+    def test_other_nodes_refused(self, tmp_path, edit_uv, named):
+        self.write(tmp_path, edit_uv)
+        with pytest.raises(ValueError) as info:
+            SurfaceMesh.from_csv(tmp_path / "edited.csv")
+        assert named in str(info.value)

@@ -328,11 +328,12 @@ class TestLatticeMarchAgainstOracle:
         assert isinstance(moved, bytes) and moved != genuine
 
     def test_transient_memory_stays_flat(self):
-        # one march at 129^2 peaks at about 9.7 MB: the psi lattice, its values
-        # at the four stages of every step and the stage points take about 2 MB
-        # each, and FRAME_POINTS bounds a frame call's rows and its product with
-        # psi to about 1 MB each; a march that builds the full 4x4 frame of every
-        # stage and applies it stage by stage peaks at about 11.6 MB
+        # one march at 129^2 peaks at about 8.3 MB: psi at the four stages of
+        # every step and the stage points take about 2 MB each, and FRAME_POINTS
+        # bounds a frame call's rows and its product with psi to about 1 MB each;
+        # a march that keeps the psi lattice's values until it returns peaks at
+        # about 9.6 MB, and one that builds the full 4x4 frame of every stage and
+        # applies it stage by stage at about 11.6 MB
         grid = BASIC.grid.with_resolution(129, 129)
         tracemalloc.start()
         try:
@@ -340,7 +341,7 @@ class TestLatticeMarchAgainstOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11e6
+        assert peak < 9e6
 
 
 class TestTranslationEquivariance:
