@@ -4,10 +4,11 @@ the complex or paracomplex scalar algebra and verified independently."""
 
 from .algebra import Kind, Scalar
 from .expr import WeierstrassData, parse
+from .mesh import DomainGrid, SurfaceMesh
 from .spaces import Point, SpaceKind, SpaceModel
-from .synthesis import SurfaceMesh, path_independence, synthesize
+from .synthesis import path_independence, synthesize
 from .verify import verify_mesh
-from .weierstrass import DomainGrid, ValidationTolerances, validate
+from .weierstrass import ValidationTolerances, validate
 
 __all__ = [
     "Kind",

@@ -174,7 +174,7 @@ def invert(s: Scalar) -> Scalar:
         raise ZeroDivisorError(f"{s.re} + tau*{s.im} lies on the null cone")
     m = modulus_sq(s)
     if m == 0.0:
-        raise ZeroDivisorError(f"{s.re} + tau*{s.im} has vanishing norm")
+        raise ZeroDivisorError(f"{s.re} + {s.kind.unit_symbol}*{s.im} has vanishing norm")
     return Scalar(s.re / m, -s.im / m, s.kind)
 
 

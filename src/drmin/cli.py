@@ -22,17 +22,12 @@ import numpy as np
 
 from .algebra import Kind
 from .expr import ExprError
+from .mesh import DomainGrid, SurfaceMesh, float_text
 from .presets import PRESETS, ConfigError, RunConfig, reference_error
 from .spaces import Point, SpaceKind
-from .synthesis import (
-    StepFailureError,
-    SurfaceMesh,
-    ValidationRefusedError,
-    path_independence,
-    synthesize,
-)
+from .synthesis import StepFailureError, ValidationRefusedError, path_independence, synthesize
 from .verify import verify_mesh
-from .weierstrass import DomainGrid, ValidationTolerances, float_text, validate
+from .weierstrass import ValidationTolerances, validate
 
 EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
@@ -314,6 +309,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_FAILURE
     except (ConfigError, ExprError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"input error: {exc}")
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # a grid too large to hold
+        print(f"input error: out of memory: {exc}")
         return EXIT_INPUT_ERROR
 
 

@@ -569,3 +569,7 @@ class WeierstrassData:
 
     def eval_components(self, u: float, v: float) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return tuple(evaluate(p, u, v, self.kind) for p in self.psi)
+
+    def on_grid(self, u, v) -> GridEval:
+        """psi_1..psi_4 at every node of the broadcast (u, v) arrays."""
+        return evaluate_grid(self.psi, u, v, self.kind)

@@ -22,8 +22,9 @@ import numpy as np
 from . import expr
 from .algebra import Kind
 from .expr import ExprError, WeierstrassData
+from .mesh import DomainGrid
 from .spaces import Point, SpaceKind, SpaceModel
-from .weierstrass import DomainGrid, ValidationTolerances
+from .weierstrass import ValidationTolerances
 
 
 class ConfigError(Exception):

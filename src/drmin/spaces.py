@@ -1,18 +1,18 @@
-"""The two 4-dimensional Lorentzian solvable Lie-group models.
+"""The two 4-dimensional Lorentzian solvable Lie-group models and their metric.
 
 Both models live on the global chart (x, y, z, t).  The first-kind model
 S41 puts the negative metric direction on the t-axis frame vector; the
-second-kind model S43 puts it on the central z-direction.  Each model
-has three descriptions of its geometry:
+second-kind model S43 puts it on the central z-direction.  This module
+holds the description of the geometry that verify reads:
 
 * the coordinate metric tensor,
-* the orthonormal left-invariant frame (matrix A) with its exact
-  connection structure constants (the L-table),
 * a finite-difference Christoffel oracle built only from the metric,
-  independent of the tables.
+* the signed conformal density, the frame signature's quadratic form.
 
-The frame connections that set the tables against the oracle are test
-code, in tests/oracles.py.
+The other two descriptions sit beside their one reader: the orthonormal
+left-invariant frame (matrix A) in synthesis, and its exact connection
+structure constants (the L-table) in weierstrass.  The frame connections
+that set the L-table against the oracle are test code, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .algebra import Kind
 
 
 class SpaceKind(Enum):
@@ -81,50 +83,6 @@ def metric_at(s: SpaceModel, p) -> np.ndarray:
     return g
 
 
-def frame_matrix(s: SpaceModel, p, rows=(0, 1, 2, 3)) -> np.ndarray:
-    """Columns are the coordinate components of the frame e1..e4 at p.
-
-    Points of shape (..., 4) give matrices of shape (..., 4, 4), or only
-    the given rows, in that order: shape (..., len(rows), 4).  Rows 0 and
-    1 read t, row 2 reads x, y and t, and row 3 is constant.  The entries
-    are built as whole arrays over the points, so the result is a view
-    whose matrix axes are its outermost in memory.
-    """
-    p = np.asarray(p, dtype=float)
-    c = s.c
-    eh = np.exp(0.5 * p[..., 3])
-    A = np.zeros((len(rows), 4) + p.shape[:-1])
-    for i, r in enumerate(rows):
-        if r == 2:
-            A[i, 0] = -0.5 * c * eh * p[..., 1]
-            A[i, 1] = 0.5 * c * eh * p[..., 0]
-            A[i, 2] = np.exp(p[..., 3])
-        elif r == 3:
-            A[i, 3] = 1.0
-        else:
-            A[i, r] = eh
-    return A.transpose(*range(2, A.ndim), 0, 1)
-
-
-def l_table(s: SpaceModel) -> dict[tuple[int, int, int], float]:
-    """Nonzero connection structure constants (i, j, k) -> L^k_ij.
-
-    Defined by nabla_{e_i} e_j = (1/2) sum_k L^k_ij e_k; indices 1-based.
-    """
-    c = s.c
-    if s.kind is SpaceKind.FIRST:
-        return {
-            (1, 1, 4): -1.0, (1, 2, 3): c, (1, 3, 2): -c, (1, 4, 1): -1.0,
-            (2, 1, 3): -c, (2, 2, 4): -1.0, (2, 3, 1): c, (2, 4, 2): -1.0,
-            (3, 1, 2): -c, (3, 2, 1): c, (3, 3, 4): -2.0, (3, 4, 3): -2.0,
-        }
-    return {
-        (1, 1, 4): 1.0, (1, 2, 3): c, (1, 3, 2): c, (1, 4, 1): -1.0,
-        (2, 1, 3): -c, (2, 2, 4): 1.0, (2, 3, 1): -c, (2, 4, 2): -1.0,
-        (3, 1, 2): c, (3, 2, 1): -c, (3, 3, 4): -2.0, (3, 4, 3): -2.0,
-    }
-
-
 def _fd_step(p: np.ndarray) -> np.ndarray:
     return 1e-5 * (1.0 + np.abs(p[..., 3]))
 
@@ -152,7 +110,7 @@ def christoffel_at(s: SpaceModel, p) -> np.ndarray:
     """Christoffel symbols Gamma[..., i, j, l] from the metric alone.
 
     Koszul formula with central-difference metric derivatives; this is
-    the oracle route, independent of the frame tables.
+    the oracle route, independent of the frame and the L-table.
     """
     g = metric_at(s, p)
     ginv = np.linalg.inv(g)
@@ -160,3 +118,13 @@ def christoffel_at(s: SpaceModel, p) -> np.ndarray:
     # Gamma^i_{jl} = (1/2) g^{im} (d_j g_ml + d_l g_mj - d_m g_jl)
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
     return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)
+
+
+def conformal_density(s: SpaceModel, kind: Kind, psi) -> np.ndarray:
+    """sum_k eps_k |psi_k|^2 (condition_i) over arrays, from the (re, im) pairs of psi_1..psi_4."""
+    eps = s.signature
+    out = 0.0
+    with np.errstate(all="ignore"):
+        for k, (re, im) in enumerate(psi):
+            out = out + eps[k] * (re * re - kind.sigma * im * im)
+    return out

@@ -9,26 +9,18 @@ of R acting on the Heisenberg group (z its centre), so it is triangular
 and RK4 runs as quadratures: t, then x and y, then z.  Re-marching in
 the transposed order gives an independent integrability check: for
 genuine solutions the two meshes agree to integrator accuracy, for
-corrupted data they visibly diverge.
+corrupted data they visibly diverge.  The frame lives here, beside the
+march, its one reader.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .algebra import Kind
 from .expr import WeierstrassData, evaluate_grid
-from .spaces import Point, SpaceModel, frame_matrix
-from .weierstrass import (
-    DomainGrid,
-    ValidationReport,
-    float_text,
-    validate,
-    write_node_table,
-)
+from .mesh import DomainGrid, SurfaceMesh, float_text
+from .spaces import Point, SpaceModel
+from .weierstrass import ValidationReport, validate
 
 
 class SynthesisError(Exception):
@@ -47,114 +39,32 @@ class StepFailureError(SynthesisError):
     """Marching produced a non-finite or unevaluable state."""
 
 
-MESH_CSV_COLUMNS = ("u", "v", "x", "y", "z", "t")
 FRAME_POINTS = 2048  # points per frame_matrix call in the march; bounds its (..., 4, 4) result
 
 
-@dataclass
-class SurfaceMesh:
-    grid: DomainGrid
-    nodes: np.ndarray  # (nu, nv, 4) coordinates (x, y, z, t)
-    kind: Kind
-    space: str
-    c: float
-    provenance: dict = field(default_factory=dict)
+def frame_matrix(s: SpaceModel, p, rows=(0, 1, 2, 3)) -> np.ndarray:
+    """Columns are the coordinate components of the orthonormal frame e1..e4 at p.
 
-    @property
-    def causal_character(self) -> str:
-        """Expected character from the algebra driving the data."""
-        return "spacelike" if self.kind is Kind.COMPLEX else "timelike"
-
-    @property
-    def spacing(self) -> tuple[float, float]:
-        g = self.grid
-        return (g.u_max - g.u_min) / (g.nu - 1), (g.v_max - g.v_min) / (g.nv - 1)
-
-    def tangents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Finite-difference (f_u, f_v), each (nu, nv, 4).
-
-        Central differences in the interior, one-sided on the boundary.
-        """
-        fu, fv = np.gradient(self.nodes, *self.spacing, axis=(0, 1))
-        return fu, fv
-
-    def to_csv(self, path) -> None:
-        g = self.grid
-        grid = [*float_text([g.u_min, g.u_max, g.v_min, g.v_max]), str(g.nu), str(g.nv),
-                *float_text([g.u0, g.v0])]
-        head = {"space": self.space, "c": float_text(self.c)[0], "algebra": self.kind.value,
-                "grid": " ".join(grid), **dict(sorted(self.provenance.items()))}
-        # one line per value: a formula may span lines in the INI file
-        preamble = "".join(f"# {key}: {' '.join(str(val).split())}\n" for key, val in head.items())
-        columns = dict(zip(MESH_CSV_COLUMNS[2:], np.moveaxis(self.nodes, -1, 0)))
-        write_node_table(path, g, columns, preamble)
-
-    @classmethod
-    def from_csv(cls, path) -> "SurfaceMesh":
-        """Read a mesh written by to_csv, with CRLF or LF line endings.
-
-        A header, metadata line, row or cell that does not fit raises
-        ValueError, as does a row whose u or v is not the grid node of its
-        position to within 1e-3 of the grid spacing (to_csv writes them
-        exactly; the margin admits hand-typed decimals).
-        """
-        meta = {}
-
-        def data_lines(fh):
-            for line in fh:
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition(":")
-                    meta[key.strip()] = val.strip()
-                elif line.strip():
-                    yield line
-
-        with open(path) as fh:
-            lines = data_lines(fh)
-            header = next(lines, "").strip().split(",")
-            if tuple(header) != MESH_CSV_COLUMNS:
-                raise ValueError(f"unexpected mesh columns {header}")
-            for req in ("space", "c", "algebra", "grid"):
-                if req not in meta:
-                    raise ValueError(f"mesh file missing '{req}' metadata")
-            gparts = meta["grid"].split()
-            if len(gparts) != 8:
-                raise ValueError(f"grid metadata needs 8 fields, got {len(gparts)}")
-            grid = DomainGrid(
-                *map(float, gparts[:4]), *map(int, gparts[4:6]), *map(float, gparts[6:])
-            )
-            n = grid.nu * grid.nv
-            # the rows stream into one array; np.loadtxt warns on empty input
-            first = next(lines, None)
-            data = np.empty((0, len(MESH_CSV_COLUMNS))) if first is None else np.loadtxt(
-                itertools.chain([first], lines), delimiter=",", ndmin=2, max_rows=n + 1
-            )
-        if len(data) > n:
-            raise ValueError("mesh file has more rows than the grid admits")
-        if len(data) < n:
-            raise ValueError(f"mesh file truncated: expected {n} rows, got {len(data)}")
-        if data.shape[1] != len(MESH_CSV_COLUMNS):
-            raise ValueError(
-                f"mesh rows need {len(MESH_CSV_COLUMNS)} fields, got {data.shape[1]}"
-            )
-        nodes = np.ascontiguousarray(data[:, 2:]).reshape(grid.nu, grid.nv, 4)
-        kind = Kind(meta["algebra"])
-        provenance = {
-            k: v for k, v in meta.items() if k not in ("space", "c", "algebra", "grid")
-        }
-        mesh = cls(
-            grid=grid, nodes=nodes, kind=kind, space=meta["space"],
-            c=float(meta["c"]), provenance=provenance,
-        )
-        uv = data[:, :2].reshape(grid.nu, grid.nv, 2)
-        want = np.stack(np.meshgrid(grid.u_nodes, grid.v_nodes, indexing="ij"), axis=-1)
-        off = ~(np.abs(uv - want) <= 1e-3 * np.array(mesh.spacing)).all(axis=-1)  # NaN is off
-        if off.any():
-            i, j = np.argwhere(off)[0]
-            raise ValueError(
-                f"mesh row {i * grid.nv + j + 1} has (u, v) = ({', '.join(float_text(uv[i, j]))})"
-                f" where the grid node is ({', '.join(float_text(want[i, j]))})"
-            )
-        return mesh
+    Points of shape (..., 4) give matrices of shape (..., 4, 4), or only
+    the given rows, in that order: shape (..., len(rows), 4).  Rows 0 and
+    1 read t, row 2 reads x, y and t, and row 3 is constant.  The entries
+    are built as whole arrays over the points, so the result is a view
+    whose matrix axes are its outermost in memory.
+    """
+    p = np.asarray(p, dtype=float)
+    c = s.c
+    eh = np.exp(0.5 * p[..., 3])
+    A = np.zeros((len(rows), 4) + p.shape[:-1])
+    for i, r in enumerate(rows):
+        if r == 2:
+            A[i, 0] = -0.5 * c * eh * p[..., 1]
+            A[i, 1] = 0.5 * c * eh * p[..., 0]
+            A[i, 2] = np.exp(p[..., 3])
+        elif r == 3:
+            A[i, 3] = 1.0
+        else:
+            A[i, r] = eh
+    return A.transpose(*range(2, A.ndim), 0, 1)
 
 
 def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """A-posteriori verification of synthesized meshes.
 
 Everything here works from mesh coordinates, the coordinate metric, and
-the finite-difference Christoffel oracle only; the symbolic derivatives
-used during validation and synthesis never enter.  This makes the module
-an end-to-end independent check of the whole pipeline: sign-convention
-bugs that are self-consistent upstream show up here as conformality
-defects or non-vanishing tension.
+the finite-difference Christoffel oracle only; the symbolic derivatives,
+the L-table and the frame never enter, and the module imports only mesh,
+spaces and algebra.  This makes the module an end-to-end independent
+check of the whole pipeline: sign-convention bugs that are
+self-consistent upstream show up here as conformality defects or
+non-vanishing tension.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Kind
-from .expr import WeierstrassData, evaluate_grid
-from .spaces import SpaceModel, christoffel_at, metric_at
-from .synthesis import SurfaceMesh
-from .weierstrass import conformal_density, exceeds, report_lines, write_node_table
+from .mesh import SurfaceMesh, exceeds, report_lines, write_node_table
+from .spaces import SpaceModel, christoffel_at, conformal_density, metric_at
 
 DEGENERACY_BAND_SCALE = 1e-10
 # fixed absolute bounds on the interior sup-norms of the finite-difference defects
@@ -169,14 +168,11 @@ class VerificationReport:
         write_node_table(path, self.mesh.grid, columns)
 
 
-def verify_mesh(
-    s: SpaceModel,
-    mesh: SurfaceMesh,
-    w: WeierstrassData | None = None,
-) -> VerificationReport:
+def verify_mesh(s: SpaceModel, mesh: SurfaceMesh, w=None) -> VerificationReport:
     """Bundle pullback, causal character and tension checks on a mesh.
 
-    When the component data is supplied, the report additionally checks
+    When the component data w (an expr.WeierstrassData, read only through
+    its kind and on_grid) is supplied, the report additionally checks
     the conformal-density identity 2 * density = E, which ties the
     pointwise validation route to the synthesized geometry.  A mesh whose
     header names another space or c than the model (or another algebra
@@ -204,7 +200,7 @@ def verify_mesh(
     density_gap = None
     if w is not None:
         g = mesh.grid
-        ev = evaluate_grid(w.psi, g.u_nodes[1:-1, None], g.v_nodes[None, 1:-1], w.kind)
+        ev = w.on_grid(g.u_nodes[1:-1, None], g.v_nodes[None, 1:-1])
         ev.raise_first()
         dens = conformal_density(s, w.kind, ev.values)
         density_gap = float(np.abs(2.0 * dens - pb[1:-1, 1:-1, 0]).max())

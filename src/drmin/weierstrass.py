@@ -12,6 +12,8 @@ Three pointwise checks on a component quadruple psi_1..psi_4:
   two routes are algebraically equal; computing both guards against
   transcription slips in either.  The node-by-node generic route is test
   code, in tests/oracles.py.
+
+The L-table lives here, beside validate, its one reader.
 """
 
 from __future__ import annotations
@@ -23,97 +25,8 @@ import numpy as np
 from . import algebra, expr
 from .algebra import Kind, Scalar
 from .expr import WeierstrassData
-from .spaces import SpaceKind, SpaceModel, l_table
-
-
-@dataclass(frozen=True)
-class DomainGrid:
-    """Rectangular evaluation grid with a distinguished base point.
-
-    The base point (u0, v0) is snapped onto the nearest grid node so the
-    marching integrator can start exactly on the lattice.  Rectangles are
-    simply connected by construction.
-    """
-
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-    nu: int
-    nv: int
-    u0: float
-    v0: float
-
-    def __post_init__(self):
-        if not (self.u_max > self.u_min and self.v_max > self.v_min):
-            raise ValueError("degenerate rectangle")
-        if self.nu < 2 or self.nv < 2:
-            raise ValueError("need at least 2 nodes per direction")
-        if not (self.u_min <= self.u0 <= self.u_max and self.v_min <= self.v0 <= self.v_max):
-            raise ValueError("base point outside the rectangle")
-
-    @property
-    def u_nodes(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.nu)
-
-    @property
-    def v_nodes(self) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, self.nv)
-
-    @property
-    def base_index(self) -> tuple[int, int]:
-        i0 = int(np.argmin(np.abs(self.u_nodes - self.u0)))
-        j0 = int(np.argmin(np.abs(self.v_nodes - self.v0)))
-        return i0, j0
-
-    @property
-    def base_point(self) -> tuple[float, float]:
-        """The snapped base point (a grid node)."""
-        i0, j0 = self.base_index
-        return float(self.u_nodes[i0]), float(self.v_nodes[j0])
-
-    def with_resolution(self, nu: int, nv: int) -> "DomainGrid":
-        return DomainGrid(self.u_min, self.u_max, self.v_min, self.v_max, nu, nv, self.u0, self.v0)
-
-
-def float_text(values) -> list[str]:
-    """The text of every float drmin writes, row-major: repr of the Python float."""
-    return list(map(repr, np.ravel(np.asarray(values, dtype=float)).tolist()))
-
-
-def write_node_table(path, grid: DomainGrid, columns: dict, preamble: str = "") -> None:
-    """Write one CSV row per grid node, in row-major order: u, v, then columns.
-
-    columns maps header names to (nu, nv) arrays: floats are written through
-    float_text, object arrays of strings as they are.  Rows end in CRLF after
-    the preamble; the text is built one grid row at a time, never for the
-    whole file.
-    """
-    u_text, v_text = float_text(grid.u_nodes), float_text(grid.v_nodes)
-    with open(path, "w", newline="") as fh:
-        fh.write(preamble + ",".join(["u", "v", *columns]) + "\r\n")
-        for i, u in enumerate(u_text):
-            cells = [
-                c[i].tolist() if c.dtype == object else float_text(c[i]) for c in columns.values()
-            ]
-            fh.write("".join(
-                f"{u},{v},{','.join(node)}\r\n" for v, node in zip(v_text, zip(*cells))
-            ))
-
-
-def exceeds(name: str, value: float, limit: float) -> str | None:
-    """The failure text of a sup-norm above its limit, or None; NaN exceeds every limit."""
-    if not value <= limit:  # written as "not <=" so that NaN fails
-        return f"{name} {value:.3e} exceeds {limit:.1e}"
-    return None
-
-
-def report_lines(title: str, rows: dict[str, str], failures: list[str]) -> list[str]:
-    """A report summary: the title, one line per quantity, the verdict and its reasons."""
-    lines = [title, *(f"  {label:<21}: {value}" for label, value in rows.items())]
-    lines.append(f"  verdict: {'FAIL' if failures else 'PASS'}")
-    lines.extend(f"    - {reason}" for reason in failures)
-    return lines
+from .mesh import DomainGrid, exceeds, report_lines, write_node_table
+from .spaces import SpaceKind, SpaceModel, conformal_density
 
 
 @dataclass(frozen=True)
@@ -121,6 +34,25 @@ class ValidationTolerances:
     harmonicity: float = 1e-10
     conformality: float = 1e-10
     immersion_floor: float = 1e-8
+
+
+def l_table(s: SpaceModel) -> dict[tuple[int, int, int], float]:
+    """Nonzero connection structure constants (i, j, k) -> L^k_ij.
+
+    Defined by nabla_{e_i} e_j = (1/2) sum_k L^k_ij e_k; indices 1-based.
+    """
+    c = s.c
+    if s.kind is SpaceKind.FIRST:
+        return {
+            (1, 1, 4): -1.0, (1, 2, 3): c, (1, 3, 2): -c, (1, 4, 1): -1.0,
+            (2, 1, 3): -c, (2, 2, 4): -1.0, (2, 3, 1): c, (2, 4, 2): -1.0,
+            (3, 1, 2): -c, (3, 2, 1): c, (3, 3, 4): -2.0, (3, 4, 3): -2.0,
+        }
+    return {
+        (1, 1, 4): 1.0, (1, 2, 3): c, (1, 3, 2): c, (1, 4, 1): -1.0,
+        (2, 1, 3): -c, (2, 2, 4): 1.0, (2, 3, 1): -c, (2, 4, 2): -1.0,
+        (3, 1, 2): c, (3, 2, 1): -c, (3, 3, 4): -2.0, (3, 4, 3): -2.0,
+    }
 
 
 def condition_i(s: SpaceModel, w: WeierstrassData, u: float, v: float) -> float:
@@ -135,16 +67,6 @@ def condition_ii(s: SpaceModel, w: WeierstrassData, u: float, v: float) -> Scala
     out = algebra.zero(w.kind)
     for k in range(4):
         out = out + eps[k] * (psi[k] * psi[k])
-    return out
-
-
-def conformal_density(s: SpaceModel, kind: Kind, psi) -> np.ndarray:
-    """condition_i over arrays, from the (re, im) pairs of psi_1..psi_4."""
-    eps = s.signature
-    out = 0.0
-    with np.errstate(all="ignore"):
-        for k, (re, im) in enumerate(psi):
-            out = out + eps[k] * (re * re - kind.sigma * im * im)
     return out
 
 

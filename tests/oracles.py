@@ -21,10 +21,10 @@ from drmin import algebra, expr
 from drmin.algebra import Kind, KindMismatchError, Scalar
 from drmin.expr import Add, Call, Conj, Const, Div, Expr, Mul, Neg, Pow, Sub, Unit, Var
 from drmin.expr import GridEval, WeierstrassData, evaluate_grid
-from drmin.spaces import (
-    Point, SpaceModel, _fd_step, christoffel_at, frame_matrix, l_table, metric_at,
-)
-from drmin.synthesis import SurfaceMesh
+from drmin.mesh import SurfaceMesh
+from drmin.spaces import Point, SpaceModel, _fd_step, christoffel_at, metric_at
+from drmin.synthesis import frame_matrix
+from drmin.weierstrass import l_table
 
 
 def split_iso(s: Scalar) -> tuple[float, float]:

@@ -15,17 +15,10 @@ from drmin import algebra
 from drmin.algebra import Kind, Scalar, conj, modulus_sq
 from drmin.expr import WeierstrassData
 from drmin.presets import PRESETS, reference_error
-from drmin.spaces import (
-    Point,
-    SpaceKind,
-    SpaceModel,
-    frame_matrix,
-    l_table,
-    metric_at,
-)
-from drmin.synthesis import path_independence, synthesize
+from drmin.spaces import Point, SpaceKind, SpaceModel, metric_at
+from drmin.synthesis import frame_matrix, path_independence, synthesize
 from drmin.verify import tension_residual, verify_mesh
-from drmin.weierstrass import harmonicity_residual_explicit, validate
+from drmin.weierstrass import harmonicity_residual_explicit, l_table, validate
 from oracles import (
     frame_connection,
     frame_connection_via_christoffel,

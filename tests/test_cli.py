@@ -462,6 +462,9 @@ CONTRACT = [
      EXIT_INPUT_ERROR, "mesh row 1 has (u, v) = (7.0, 7.0) where the grid node is (1.0, -1.0)"),
     ("uv-swapped-rows", GOOD_INI, _swap_rows, ["export", "bad.csv", "--out", "s.obj"],
      EXIT_INPUT_ERROR, "mesh row 1 has (u, v) = (1.0, -0.75)"),
+    ("grid-bound-inf", GOOD_INI,
+     lambda lines: [l.replace("# grid: 1.0 2.0 ", "# grid: 1.0 inf ") for l in lines], VERIFY,
+     EXIT_INPUT_ERROR, "input error: cannot read mesh file: u_max must be finite, got inf"),
 ]
 
 
@@ -484,6 +487,20 @@ class TestExitCodeContract:
         assert named in captured.out and "Traceback" not in captured.out
         assert captured.err == ""
         assert not {"m.csv", "s.obj", "s.csv"} & {p.name for p in tmp_path.iterdir()}
+
+    def test_out_of_memory_is_an_input_error(self, monkeypatch, capsys):
+        # a grid too large to hold ends in exit 2 and one line, never a traceback
+        import drmin.cli
+
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(drmin.cli, "validate", refuse)
+        argv = ["validate", "--preset", "s41-timelike-basic", "--grid", SMALL]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "input error: out of memory: Unable to allocate 74.5 GiB\n"
+        assert captured.err == ""
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@
 
 The oracle writers below are the per-node loops that wrote
 validation.csv, mesh.csv and verification.csv before every file went
-through weierstrass.write_node_table; the array writer must give the
+through mesh.write_node_table; the array writer must give the
 same bytes.
 """
 
@@ -14,11 +14,12 @@ import pytest
 from drmin.algebra import Kind
 from drmin.cli import EXIT_MATH_FAILURE, EXIT_PASS, main
 from drmin.expr import WeierstrassData
+from drmin.mesh import MESH_CSV_COLUMNS, DomainGrid, SurfaceMesh
 from drmin.presets import PRESETS
 from drmin.spaces import SpaceKind, SpaceModel
-from drmin.synthesis import MESH_CSV_COLUMNS, SurfaceMesh, synthesize
+from drmin.synthesis import synthesize
 from drmin.verify import verify_mesh
-from drmin.weierstrass import DomainGrid, validate
+from drmin.weierstrass import validate
 
 S41 = SpaceModel(SpaceKind.FIRST, 1.0)
 AXIS_PARA = WeierstrassData.from_strings(["tau/u", "0", "0", "1/u"], Kind.PARA)

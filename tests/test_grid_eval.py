@@ -43,16 +43,12 @@ from drmin.expr import (
     parse,
     wirtinger_bar,
 )
+from drmin.mesh import DomainGrid
 from drmin.presets import PRESETS
-from drmin.spaces import SpaceKind, SpaceModel, l_table
+from drmin.spaces import SpaceKind, SpaceModel
 from drmin.synthesis import path_independence, synthesize
 from drmin.verify import verify_mesh
-from drmin.weierstrass import (
-    DomainGrid,
-    condition_i,
-    condition_ii,
-    validate,
-)
+from drmin.weierstrass import condition_i, condition_ii, l_table, validate
 from oracles import (
     distinct_nodes,
     harmonicity_residual_generic,
@@ -285,6 +281,16 @@ class TestPinnedCases:
         assert ev.bad.all()
         assert "sin failed" in str(ev.errors()[0][1])
         assert "non-finite argument" in str(ev.errors()[0][1])
+
+    def test_vanishing_norm_names_the_algebra_unit(self):
+        # (1e-200)^2 underflows: a nonzero complex divisor of norm 0, named with i
+        e = parse("1/(u*1e-200)", Kind.COMPLEX)
+        text = "division failed (at position 1): 1e-200 + i*0.0 has vanishing norm"
+        with pytest.raises(EvalError) as exc:
+            evaluate(e, 1.0, 0.0, Kind.COMPLEX)
+        assert str(exc.value) == text
+        ev = evaluate_grid([e], 1.0, 0.0, Kind.COMPLEX)
+        assert ev.bad and str(ev.first_errors[0]) == text
 
     def test_constants_of_either_zero_keep_their_sign(self):
         # equal constants share one array, and -0.0 == 0.0 must not merge them

@@ -8,6 +8,11 @@ package's other code, or in ``scripts/`` or ``perfbench/``.  Defs used by
 nothing else are dropped until none is left to drop; what remains unused
 belongs in ``tests/oracles.py``, not in the package.
 
+verify is the independent check of the pipeline, so the modules it
+imports, directly or through one another, define none of the routes it
+must stay independent of: the symbolic derivatives, the L-table and the
+frame.
+
 A def of the package that lives as long as the process (at module level,
 or a method of a module-level class) caches through ``functools.cache``
 or ``functools.lru_cache`` only when it takes no parameters: a cache keyed
@@ -114,3 +119,68 @@ def argument_keyed_caches() -> list[str]:
 def test_no_process_wide_cache_is_keyed_on_data():
     keyed = argument_keyed_caches()
     assert not keyed, f"these caches hold every argument for the life of the process: {keyed}"
+
+
+# verify must not reach these; each is defined in a stage module verify does not import
+NOT_IN_VERIFY = {"l_table", "frame_matrix", "wirtinger_bar", "_Derivatives"}
+
+
+def _imported_modules(tree) -> set[str]:
+    """The modules of src/drmin that the import statements anywhere in tree name.
+
+    drmin/__init__.py runs for any submodule and imports them all, so it
+    is not followed: ``from drmin import expr`` names expr, not the package.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # the absolute name: from . import x -> drmin, from .x import y -> drmin.x
+            module = ".".join(filter(None, ["drmin" if node.level else "", node.module]))
+            if module == "drmin":
+                out.update(a.name for a in node.names)
+            elif module.startswith("drmin."):
+                out.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("drmin."))
+    return out & MODULES
+
+
+def import_closure(start: str) -> set[str]:
+    """start and every module of src/drmin it imports, directly or through others."""
+    closure, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in closure:
+            closure.add(name)
+            todo.extend(_imported_modules(ast.parse((PACKAGE / f"{name}.py").read_text())))
+    return closure
+
+
+def reached_routes(start: str) -> dict[str, set[str]]:
+    """module -> the NOT_IN_VERIFY names it defines, over the import closure of start."""
+    out = {}
+    for name in sorted(import_closure(start)):
+        body = ast.parse((PACKAGE / f"{name}.py").read_text()).body
+        defined = {n.name for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for n in body if isinstance(n, ast.Assign) for t in n.targets
+                    if isinstance(t, ast.Name)}
+        if defined & NOT_IN_VERIFY:
+            out[name] = defined & NOT_IN_VERIFY
+    return out
+
+
+def test_verify_imports_only_the_mesh_and_the_metric():
+    assert reached_routes("verify") == {}
+    assert import_closure("verify") == {"verify", "mesh", "spaces", "algebra"}
+
+
+def test_the_stage_modules_reach_what_verify_must_not():
+    # the check can fail: each stage module reaches the description it reads
+    assert reached_routes("weierstrass") == {
+        "weierstrass": {"l_table"}, "expr": {"wirtinger_bar", "_Derivatives"}
+    }
+    assert reached_routes("synthesis") == {
+        "synthesis": {"frame_matrix"},
+        "weierstrass": {"l_table"},
+        "expr": {"wirtinger_bar", "_Derivatives"},
+    }

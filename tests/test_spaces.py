@@ -9,11 +9,11 @@ from drmin.spaces import (
     SpaceKind,
     SpaceModel,
     christoffel_at,
-    frame_matrix,
-    l_table,
     metric_at,
     metric_gradient_at,
 )
+from drmin.synthesis import frame_matrix
+from drmin.weierstrass import l_table
 from oracles import (
     frame_connection,
     frame_connection_via_christoffel,

@@ -5,20 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drmin import spaces, synthesis
+from drmin import synthesis
 from drmin.algebra import Kind
 from drmin.expr import EvalError, WeierstrassData
+from drmin.mesh import DomainGrid, SurfaceMesh
 from drmin.presets import PRESETS, reference_error, reference_fields
 from drmin.spaces import Point, SpaceKind, SpaceModel
 from drmin.synthesis import (
     StepFailureError,
-    SurfaceMesh,
     ValidationRefusedError,
     _march,
+    frame_matrix,
     path_independence,
     synthesize,
 )
-from drmin.weierstrass import DomainGrid, validate
+from drmin.weierstrass import validate
 from oracles import mesh_tangent_consistency, tangent_field
 
 S41 = SpaceModel(SpaceKind.FIRST, 1.0)
@@ -173,10 +174,10 @@ SKEWED_AHEAD, SKEWED_BEHIND = (DomainGrid(0.23, 2.7, -1, 1, 7, 7, u0, 0) for u0 
 
 
 def entries_replaced(entries):
-    """spaces.frame_matrix with the given (row, column) entries replaced by value(p)."""
+    """synthesis.frame_matrix with the given (row, column) entries replaced by value(p)."""
 
     def mutant(s, p, rows=(0, 1, 2, 3)):
-        a = spaces.frame_matrix(s, p, rows)
+        a = frame_matrix(s, p, rows)
         for (row, col), value in entries.items():
             if row in rows:
                 a[..., rows.index(row), col] = value(np.asarray(p, dtype=float))
@@ -294,13 +295,13 @@ class TestLatticeMarchAgainstOracle:
 
     @pytest.mark.parametrize("transposed", [False, True])
     def test_frame_read_through_synthesis(self, transposed, monkeypatch):
-        # the march applies the frame only through the frame_matrix that
-        # synthesis imports: a c -> -c mutant patched there moves the mesh
+        # the march applies the frame only through the module attribute
+        # synthesis.frame_matrix: a c -> -c mutant patched there moves the mesh
         grid = BASIC.grid.with_resolution(9, 9)
         genuine = march_outcome(_march, BASIC, list(BASIC.psi_texts), grid, transposed)
         monkeypatch.setattr(synthesis, "frame_matrix",
-                            lambda s, p, *rows: spaces.frame_matrix(dataclasses.replace(s, c=-s.c),
-                                                                    p, *rows))
+                            lambda s, p, *rows: frame_matrix(dataclasses.replace(s, c=-s.c),
+                                                             p, *rows))
         mutant = march_outcome(_march, BASIC, list(BASIC.psi_texts), grid, transposed)
         assert isinstance(mutant, bytes) and mutant != genuine
 
@@ -434,6 +435,15 @@ class TestMeshCsv:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("# algebra")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="algebra"):
+            SurfaceMesh.from_csv(path)
+
+    def test_non_finite_grid_bound_rejected(self, tmp_path):
+        mesh = synthesize(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0))
+        path = tmp_path / "mesh.csv"
+        mesh.to_csv(path)
+        text = path.read_text().replace("# grid: 1.0 2.0 ", "# grid: 1.0 inf ")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="u_max must be finite, got inf"):
             SurfaceMesh.from_csv(path)
 
     def test_deterministic_bytes(self, tmp_path):

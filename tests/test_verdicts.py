@@ -9,15 +9,9 @@ import numpy as np
 import pytest
 
 from drmin.algebra import Kind
-from drmin.synthesis import SurfaceMesh
+from drmin.mesh import DomainGrid, SurfaceMesh, exceeds, report_lines
 from drmin.verify import VerificationReport
-from drmin.weierstrass import (
-    DomainGrid,
-    ValidationReport,
-    ValidationTolerances,
-    exceeds,
-    report_lines,
-)
+from drmin.weierstrass import ValidationReport, ValidationTolerances
 
 GRID = DomainGrid(1.0, 2.0, -1.0, 1.0, 3, 3, 1.0, 0.0)
 NAN = float("nan")

@@ -7,14 +7,15 @@ import pytest
 
 from drmin.algebra import Kind, Scalar
 from drmin.expr import Add, Const, Mul, Unit, WeierstrassData
+from drmin.mesh import DomainGrid
 from drmin.presets import PRESETS
-from drmin.spaces import SpaceKind, SpaceModel, l_table
+from drmin.spaces import SpaceKind, SpaceModel
 from drmin.weierstrass import (
-    DomainGrid,
     ValidationTolerances,
     condition_i,
     condition_ii,
     harmonicity_residual_explicit,
+    l_table,
     validate,
 )
 from oracles import harmonicity_residual_generic
