@@ -40,6 +40,10 @@ class DomainGrid:
         for name in ("u_min", "u_max", "v_min", "v_max", "u0", "v0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for lo, hi in (("u_min", "u_max"), ("v_min", "v_max")):
+            span = getattr(self, hi) - getattr(self, lo)
+            if not math.isfinite(span):
+                raise ValueError(f"span {hi} - {lo} must be finite, got {span!r}")
         if not (self.u_max > self.u_min and self.v_max > self.v_min):
             raise ValueError("degenerate rectangle")
         if self.nu < 2 or self.nv < 2:

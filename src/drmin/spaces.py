@@ -6,13 +6,13 @@ second-kind model S43 puts it on the central z-direction.  This module
 holds the description of the geometry that verify reads:
 
 * the coordinate metric tensor,
-* a finite-difference Christoffel oracle built only from the metric,
+* Christoffel symbols contracted with a symmetric tensor, from the metric alone,
 * the signed conformal density, the frame signature's quadratic form.
 
 The other two descriptions sit beside their one reader: the orthonormal
 left-invariant frame (matrix A) in synthesis, and its exact connection
 structure constants (the L-table) in weierstrass.  The frame connections
-that set the L-table against the oracle are test code, in tests/oracles.py.
+that set the L-table against these symbols are test code, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -87,37 +87,33 @@ def _fd_step(p: np.ndarray) -> np.ndarray:
     return 1e-5 * (1.0 + np.abs(p[..., 3]))
 
 
-def metric_gradient_at(s: SpaceModel, p) -> np.ndarray:
-    """Central-difference coordinate gradient dg[..., a, i, j] = d_a g_ij.
-
-    The eight shifted points p +- h*e_a form one batch of shape
-    (4, 2, ..., 4), so the metric is evaluated in a single call.
-    """
+def _metric_and_gradient(s: SpaceModel, p) -> tuple[np.ndarray, np.ndarray]:
+    """The metric at p and dg[..., a, i, j] = d_a g_ij, from one call at p and p +- h*e_a."""
     p = np.asarray(p, dtype=float)
     h = _fd_step(p)
-    shifted = np.broadcast_to(p, (4, 2) + p.shape).copy()
+    pts = np.repeat(p[..., None, :], 9, axis=-2)
     for a in range(4):
-        shifted[a, 0, ..., a] += h
-        shifted[a, 1, ..., a] -= h
-    g = metric_at(s, shifted)
-    dg = np.empty(p.shape[:-1] + (4, 4, 4))
-    # written through a view with the shift axis first, dg keeps its (..., a, i, j) layout
-    np.divide(g[:, 0] - g[:, 1], (2.0 * h)[..., None, None], out=np.moveaxis(dg, -3, 0))
-    return dg
+        pts[..., 2 * a + 1, a] += h
+        pts[..., 2 * a + 2, a] -= h
+    g = metric_at(s, pts)
+    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * h)[..., None, None, None]
+    return g[..., 0, :, :], dg
 
 
-def christoffel_at(s: SpaceModel, p) -> np.ndarray:
-    """Christoffel symbols Gamma[..., i, j, l] from the metric alone.
+def christoffel_at(s: SpaceModel, p, q) -> np.ndarray:
+    """Gamma^i_{jl}(p) q^{jl} for symmetric q[..., j, l], from the metric alone.
 
-    Koszul formula with central-difference metric derivatives; this is
-    the oracle route, independent of the frame and the L-table.
+    The Koszul formula contracted with q: Gamma(q)^i = g^{im} w_m with
+    w_m = sum_j (d_j g q)_{mj} - (1/2) <d_m g, q> (<,> the Frobenius
+    product), central-difference metric derivatives and one batched
+    solve for g^{im}; independent of the frame and the L-table.
     """
-    g = metric_at(s, p)
-    ginv = np.linalg.inv(g)
-    dg = metric_gradient_at(s, p)
-    # Gamma^i_{jl} = (1/2) g^{im} (d_j g_ml + d_l g_mj - d_m g_jl)
-    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
-    return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)
+    g, dg = _metric_and_gradient(s, p)
+    n = dg.shape[:-3]
+    q = np.reshape(q, n + (16, 1))
+    # g and q are symmetric: sum_{j,l} d_j g_ml q_lj reads dg as a (16, 4) matrix over ((j, l), m)
+    w = np.swapaxes(dg.reshape(n + (16, 4)), -1, -2) @ q - 0.5 * (dg.reshape(n + (4, 16)) @ q)
+    return np.linalg.solve(g, w)[..., 0]
 
 
 def conformal_density(s: SpaceModel, kind: Kind, psi) -> np.ndarray:

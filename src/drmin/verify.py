@@ -1,7 +1,7 @@
 """A-posteriori verification of synthesized meshes.
 
 Everything here works from mesh coordinates, the coordinate metric, and
-the finite-difference Christoffel oracle only; the symbolic derivatives,
+its finite-difference Christoffel symbols only; the symbolic derivatives,
 the L-table and the frame never enter, and the module imports only mesh,
 spaces and algebra.  This makes the module an end-to-end independent
 check of the whole pipeline: sign-convention bugs that are
@@ -24,7 +24,7 @@ DEGENERACY_BAND_SCALE = 1e-10
 CONFORMALITY_TOL = 1e-2
 TENSION_TOL = 1e-2
 # node budget of one Christoffel call in tension_residual; it keeps the
-# transient arrays of the finite-difference oracle to a fixed size
+# transient arrays of the nine-point metric batch to a fixed size
 CHRISTOFFEL_NODES = 256
 
 
@@ -59,9 +59,9 @@ def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
     Spacelike (complex) surfaces use the elliptic combination
     f_uu + f_vv + Gamma(f_u, f_u) + Gamma(f_v, f_v); timelike (para)
     surfaces the hyperbolic one with minus signs on the v-terms.
-    Vanishing tension is minimality for a conformal map.  The Christoffel
-    field is evaluated in blocks of whole interior rows, each of at most
-    CHRISTOFFEL_NODES nodes (one row when a row alone is longer).
+    Vanishing tension is minimality for a conformal map.  Both Gamma
+    terms are one contraction, in blocks of whole interior rows of at
+    most CHRISTOFFEL_NODES nodes (one row when a row alone is longer).
     """
     du, dv = mesh.spacing
     n = mesh.nodes
@@ -74,11 +74,9 @@ def tension_residual(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
     rows = max(1, CHRISTOFFEL_NODES // mid.shape[1])
     for i in range(0, len(mid), rows):
         block = slice(i, i + rows)
-        gamma = christoffel_at(s, mid[block])
         a, b = fu[block], fv[block]
-        quad[block] = np.einsum("...ijl,...j,...l->...i", gamma, a, a) + sign * np.einsum(
-            "...ijl,...j,...l->...i", gamma, b, b
-        )
+        q = a[..., :, None] * a[..., None, :] + sign * (b[..., :, None] * b[..., None, :])
+        quad[block] = christoffel_at(s, mid[block], q)
     out = np.full(n.shape, np.nan)
     out[1:-1, 1:-1] = fuu + sign * fvv + quad
     return out

@@ -5,10 +5,12 @@ against the same references: the frame connection from the L-table and
 from the Christoffel symbols, the node-by-node generic harmonicity
 residual, split coordinates, tree printing, the per-stage march on the
 full two-column frame product (the package applies only the column a
-stage uses), the metric gradient and tension residual with one metric
-call per coordinate shift and one Christoffel call per interior row,
-expression trees with no node object in two places, and the partial
-derivative trees that the package builds only inside its Wirtinger trees.
+stage uses), the metric gradient with one metric call per coordinate
+shift, the full Christoffel tensor from the inverted metric (the package
+contracts the Koszul formula first and solves), the tension residual
+with one such tensor per interior row, expression trees with no node
+object in two places, and the partial derivative trees that the package
+builds only inside its Wirtinger trees.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ def frame_connection_via_christoffel(s: SpaceModel, p: Point, i: int, j: int) ->
 
     Uses only the finite-difference Christoffel oracle and numerical
     derivatives of the frame matrix, then changes back to the frame.
-    Serves as the independent cross-check of frame_connection.
+    Serves as the independent cross-check of frame_connection.  Gamma is
+    symmetric in its lower indices, so Gamma(e_i, e_j) is the package's
+    contraction with sym(e_i (x) e_j), the route verify runs.
     """
     base = np.asarray(p, dtype=float)
     h = float(_fd_step(base))
@@ -146,9 +150,8 @@ def frame_connection_via_christoffel(s: SpaceModel, p: Point, i: int, j: int) ->
         minus[a] -= h
         dA = (frame_matrix(s, plus) - frame_matrix(s, minus)) / (2.0 * h)
         dcol = dcol + ei[a] * dA[:, j - 1]
-    gamma = christoffel_at(s, base)
     ej = A[:, j - 1]
-    cov = dcol + np.einsum("ijl,j,l->i", gamma, ei, ej)
+    cov = dcol + christoffel_at(s, base, 0.5 * (np.outer(ei, ej) + np.outer(ej, ei)))
     return np.linalg.solve(A, cov)
 
 
@@ -216,7 +219,8 @@ def metric_gradient_by_axis(s: SpaceModel, p) -> np.ndarray:
     return dg
 
 
-def _christoffel_by_axis(s: SpaceModel, p) -> np.ndarray:
+def christoffel_by_axis(s: SpaceModel, p) -> np.ndarray:
+    """The full Gamma[..., i, j, l] by the Koszul formula, from the inverted metric."""
     g = metric_at(s, p)
     ginv = np.linalg.inv(g)
     dg = metric_gradient_by_axis(s, p)
@@ -225,7 +229,7 @@ def _christoffel_by_axis(s: SpaceModel, p) -> np.ndarray:
 
 
 def tension_residual_by_row(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
-    """verify.tension_residual with one Christoffel call per interior row."""
+    """verify.tension_residual from the full Christoffel tensor of each interior row."""
     du, dv = mesh.spacing
     n = mesh.nodes
     sign = 1.0 if mesh.kind is Kind.COMPLEX else -1.0
@@ -235,7 +239,7 @@ def tension_residual_by_row(s: SpaceModel, mesh: SurfaceMesh) -> np.ndarray:
     fu, fv = (f[1:-1, 1:-1] for f in mesh.tangents())
     quad = np.empty_like(mid)
     for i, row in enumerate(mid):
-        gamma = _christoffel_by_axis(s, row)
+        gamma = christoffel_by_axis(s, row)
         quad[i] = np.einsum("kijl,kj,kl->ki", gamma, fu[i], fu[i]) + sign * np.einsum(
             "kijl,kj,kl->ki", gamma, fv[i], fv[i]
         )

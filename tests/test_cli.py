@@ -465,6 +465,13 @@ CONTRACT = [
     ("grid-bound-inf", GOOD_INI,
      lambda lines: [l.replace("# grid: 1.0 2.0 ", "# grid: 1.0 inf ") for l in lines], VERIFY,
      EXIT_INPUT_ERROR, "input error: cannot read mesh file: u_max must be finite, got inf"),
+    ("u-span-overflows", _ini(("u_min = 1.0", "u_min = -1e308"), ("u_max = 2.0", "u_max = 1e308")),
+     None, VALIDATE, EXIT_INPUT_ERROR, "bad domain: span u_max - u_min must be finite, got inf"),
+    ("grid-v-span-overflows", GOOD_INI,
+     lambda lines: [l.replace(" -1.0 1.0 9 9 ", " -1e308 1e308 9 9 ") if l.startswith("# grid:")
+                    else l for l in lines], VERIFY,
+     EXIT_INPUT_ERROR,
+     "input error: cannot read mesh file: span v_max - v_min must be finite, got inf"),
 ]
 
 

@@ -8,13 +8,14 @@ from drmin.spaces import (
     Point,
     SpaceKind,
     SpaceModel,
+    _metric_and_gradient,
     christoffel_at,
     metric_at,
-    metric_gradient_at,
 )
 from drmin.synthesis import frame_matrix
 from drmin.weierstrass import l_table
 from oracles import (
+    christoffel_by_axis,
     frame_connection,
     frame_connection_via_christoffel,
     lie_bracket_frame,
@@ -166,12 +167,12 @@ class TestChristoffelOracle:
         rng = random.Random(2)
         for s in (S41, S43):
             for p in random_points(rng, 5):
-                gamma = christoffel_at(s, p)
+                gamma = christoffel_by_axis(s, p)
                 assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() <= 1e-9
 
     def test_known_entry_at_origin(self):
         # Gamma^t_xx = -1/2 in the first-kind model, from d_t g_xx = -e^{-t}
-        gamma = christoffel_at(S41, ORIGIN)
+        gamma = christoffel_by_axis(S41, ORIGIN)
         assert gamma[3, 0, 0] == pytest.approx(-0.5, abs=1e-8)
 
     def test_metric_compatibility(self):
@@ -180,8 +181,8 @@ class TestChristoffelOracle:
         for s in (S41, S43):
             for p in random_points(rng, 3):
                 g = metric_at(s, p)
-                dg = metric_gradient_at(s, p)
-                gamma = christoffel_at(s, p)
+                dg = metric_gradient_by_axis(s, p)
+                gamma = christoffel_by_axis(s, p)
                 rhs = np.einsum("maj,ml->ajl", gamma, g) + np.einsum(
                     "mal,jm->ajl", gamma, g
                 )
@@ -204,16 +205,62 @@ class TestPointArrays:
         pts = random_points(rng, 6)
         batch = np.array([p.as_array() for p in pts]).reshape(2, 3, 4)
         for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
-            for fn in (metric_at, frame_matrix, metric_gradient_at, christoffel_at):
+            for fn in (metric_at, frame_matrix, metric_gradient_by_axis, christoffel_by_axis):
                 got = fn(s, batch).reshape((6,) + fn(s, ORIGIN).shape)
                 for k, p in enumerate(pts):
                     assert np.allclose(got[k], fn(s, p), rtol=1e-13, atol=1e-13), fn.__name__
 
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
     def test_gradient_batch_equals_per_axis_loop(self, shape):
-        # the eight shifted metrics in one call take the same arithmetic as two calls per axis
+        # the centre and its eight shifts in one call take the same arithmetic as
+        # one metric call at the centre and two calls per axis
         rng = random.Random(13)
         pts = np.array([p.as_array() for p in random_points(rng, math.prod(shape))])
         pts = pts.reshape(shape + (4,))
         for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
-            assert metric_gradient_at(s, pts).tobytes() == metric_gradient_by_axis(s, pts).tobytes()
+            g, dg = _metric_and_gradient(s, pts)
+            assert g.tobytes() == metric_at(s, pts).tobytes()
+            assert dg.tobytes() == metric_gradient_by_axis(s, pts).tobytes()
+
+
+def contraction_scale(s, p, q):
+    """Per point, max_i of (1/2) sum |g^im| |Koszul term_mjl| |q^jl| from the full-tensor oracle.
+
+    The absolute value of each product the oracle sums, so the rounding of
+    both routes (inverse and einsum there, contraction and solve here) is
+    a small multiple of eps times it.
+    """
+    dg = metric_gradient_by_axis(s, p)
+    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    ginv = np.abs(np.linalg.inv(metric_at(s, p)))
+    return 0.5 * np.einsum("...im,...mjl,...jl->...i", ginv, np.abs(term), np.abs(q)).max(axis=-1)
+
+
+class TestContractedChristoffel:
+    # the stated bound on the package's contraction against the full-tensor oracle
+    ULPS = 8
+
+    def assert_near_oracle(self, s, p, q):
+        got = christoffel_at(s, p, q)
+        want = np.einsum("...ijl,...jl->...i", christoffel_by_axis(s, p), q)
+        assert got.shape == want.shape
+        bound = self.ULPS * np.finfo(float).eps * contraction_scale(s, p, q)
+        assert (np.abs(got - want).max(axis=-1) <= bound).all()
+
+    @pytest.mark.parametrize("space_kind", list(SpaceKind))
+    @pytest.mark.parametrize("c", [1.0, -1.3])
+    def test_batched_and_pointwise_match_full_tensor(self, space_kind, c):
+        s = SpaceModel(space_kind, c)
+        rng = random.Random(19)
+        pts = np.array([p.as_array() for p in random_points(rng, 60)]).reshape(10, 6, 4)
+        m = np.random.default_rng(19).normal(size=(10, 6, 4, 4))
+        q = m + np.swapaxes(m, -1, -2)
+        self.assert_near_oracle(s, pts, q)
+        for k in np.ndindex(pts.shape[:-1]):
+            self.assert_near_oracle(s, pts[k], q[k])
+
+    def test_known_contraction_at_origin(self):
+        # Gamma^t(e_x, e_x) = -1/2 in the first-kind model
+        q = np.zeros((4, 4))
+        q[0, 0] = 1.0
+        assert christoffel_at(S41, ORIGIN, q) == pytest.approx([0, 0, 0, -0.5], abs=1e-8)

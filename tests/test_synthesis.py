@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -445,6 +446,18 @@ class TestMeshCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match="u_max must be finite, got inf"):
             SurfaceMesh.from_csv(path)
+
+    @pytest.mark.parametrize("bounds, named", [
+        ((-1e308, 1e308, -1.0, 1.0), "span u_max - u_min must be finite, got inf"),
+        ((1.0, 2.0, -1e308, 1e308), "span v_max - v_min must be finite, got inf"),
+    ], ids=["u", "v"])
+    def test_overflowing_grid_span_rejected(self, bounds, named):
+        # finite bounds whose difference overflows would give linspace NaN nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                DomainGrid(*bounds, 9, 9, bounds[0], bounds[2])
+        assert np.isfinite(DomainGrid(-1e307, 1e307, -1.0, 1.0, 9, 9, 0.0, 0.0).u_nodes).all()
 
     def test_deterministic_bytes(self, tmp_path):
         mesh = synthesize(S41, AXIS_PARA, SMALL, Point(0, 2, 0, 0))

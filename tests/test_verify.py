@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drmin import verify
+from drmin import spaces, verify
 from drmin.algebra import Kind
 from drmin.expr import WeierstrassData
 from drmin.mesh import DomainGrid
@@ -123,18 +123,49 @@ class TestTension:
         assert float(np.abs(tension[1:-1, 1:-1]).max()) > 1.0
 
 
-def assert_matches_per_row(tmp_path, monkeypatch, s, mesh, w=None):
-    """Tension field, verification.csv and summary equal the per-row oracle's, byte for byte."""
-    assert tension_residual(s, mesh).tobytes() == tension_residual_by_row(s, mesh).tobytes()
-    outputs = []
-    for route in (verify.tension_residual, tension_residual_by_row):
-        with monkeypatch.context() as m:
-            m.setattr(verify, "tension_residual", route)
-            report = verify_mesh(s, mesh, w)
-        path = tmp_path / f"{route.__name__}.csv"
-        report.to_csv(path)
-        outputs.append((path.read_bytes(), report.summary()))
-    assert outputs[0] == outputs[1]
+def verify_outputs(tmp_path, s, mesh, w, tag):
+    """Tension bytes, verification.csv bytes and summary of one verify_mesh run."""
+    report = verify_mesh(s, mesh, w)
+    path = tmp_path / f"{tag}.csv"
+    report.to_csv(path)
+    return report.tension.tobytes(), path.read_bytes(), report.summary()
+
+
+def assert_matches_one_row_blocks(tmp_path, monkeypatch, s, mesh, w=None):
+    """Tension field, verification.csv and summary of one-row blocks, byte for byte."""
+    blocked = verify_outputs(tmp_path, s, mesh, w, "blocked")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "CHRISTOFFEL_NODES", 1)  # one row per block
+        g = mesh.grid
+        assert christoffel_blocks(monkeypatch, s, mesh) == [(1, g.nv - 2)] * (g.nu - 2)
+        rows = verify_outputs(tmp_path, s, mesh, w, "rows")
+    assert blocked == rows
+
+
+# the stated bound on verify's tension against the full-Koszul per-row oracle, in units of
+# eps * scale: the two routes round differently (contraction and solve against the inverse
+# metric and einsums), the same central differences enter both
+TENSION_ULPS = 8
+
+
+def assert_near_per_row_oracle(s, mesh):
+    """Tension within TENSION_ULPS * eps * scale of tension_residual_by_row, NaN where it is NaN.
+
+    scale = max|f_uu| + max|f_vv| + max|quad| over the finite interior,
+    the sizes of the three terms the tension sums.
+    """
+    got, want = tension_residual(s, mesh), tension_residual_by_row(s, mesh)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    n = mesh.nodes
+    du, dv = mesh.spacing
+    sign = 1.0 if mesh.kind is Kind.COMPLEX else -1.0
+    mid = n[1:-1, 1:-1]
+    fuu = (n[2:, 1:-1] - 2.0 * mid + n[:-2, 1:-1]) / (du * du)
+    fvv = (n[1:-1, 2:] - 2.0 * mid + n[1:-1, :-2]) / (dv * dv)
+    quad = want[1:-1, 1:-1] - (fuu + sign * fvv)
+    scale = sum(float(np.nanmax(np.abs(term))) for term in (fuu, fvv, quad))
+    finite = ~np.isnan(want)
+    assert np.abs(got[finite] - want[finite]).max() <= TENSION_ULPS * np.finfo(float).eps * scale
 
 
 def christoffel_blocks(monkeypatch, s, mesh):
@@ -142,9 +173,10 @@ def christoffel_blocks(monkeypatch, s, mesh):
     shapes = []
     inner = verify.christoffel_at
 
-    def record(s, p):
+    def record(s, p, q):
+        assert q.shape == p.shape + (4,)
         shapes.append(p.shape[:-1])
-        return inner(s, p)
+        return inner(s, p, q)
 
     with monkeypatch.context() as m:
         m.setattr(verify, "christoffel_at", record)
@@ -152,14 +184,23 @@ def christoffel_blocks(monkeypatch, s, mesh):
     return shapes
 
 
+def preset_mesh(name, n):
+    p = PRESETS[name]
+    w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
+    return p.model(), synthesize(p.model(), w, p.grid.with_resolution(n, n), p.f0, force=True), w
+
+
 class TestBlockedTension:
     @pytest.mark.parametrize("n", [9, 21, 33, 101])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_presets_match_per_row_oracle(self, tmp_path, monkeypatch, name, n):
-        p = PRESETS[name]
-        w = WeierstrassData.from_strings(p.psi_texts, p.algebra)
-        mesh = synthesize(p.model(), w, p.grid.with_resolution(n, n), p.f0, force=True)
-        assert_matches_per_row(tmp_path, monkeypatch, p.model(), mesh, w)
+    def test_presets_match_one_row_blocks(self, tmp_path, monkeypatch, name, n):
+        assert_matches_one_row_blocks(tmp_path, monkeypatch, *preset_mesh(name, n))
+
+    @pytest.mark.parametrize("n", [3, 9, 21, 33, 101, 129])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_near_per_row_oracle(self, name, n):
+        s, mesh, _ = preset_mesh(name, n)
+        assert_near_per_row_oracle(s, mesh)
 
     @pytest.mark.parametrize("nu, nv, blocks", [
         (33, 33, [(8, 31)] * 3 + [(7, 31)]),  # the rows do not divide into blocks
@@ -167,19 +208,56 @@ class TestBlockedTension:
         (300, 5, [(85, 3)] * 3 + [(43, 3)]),
         (3, 3, [(1, 1)]),
     ])
-    def test_block_shapes_match_per_row_oracle(self, tmp_path, monkeypatch, nu, nv, blocks):
+    def test_block_shapes_match_one_row_blocks(self, tmp_path, monkeypatch, nu, nv, blocks):
         mesh = synthesize(S41, AXIS_PARA, GRID.with_resolution(nu, nv), Point(0, 2, 0, 0))
         assert christoffel_blocks(monkeypatch, S41, mesh) == blocks
-        assert_matches_per_row(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
+        assert_matches_one_row_blocks(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
+        assert_near_per_row_oracle(S41, mesh)
 
-    def test_nan_node_matches_per_row_oracle(self, tmp_path, monkeypatch):
+    def test_nan_node_matches_one_row_blocks_and_oracle(self, tmp_path, monkeypatch):
         mesh = axis_mesh(17)
         mesh.nodes[8, 8, 0] = np.nan
-        assert_matches_per_row(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
+        # the node and its four stencil neighbours
+        assert np.isnan(tension_residual(S41, mesh)).any(axis=-1)[1:-1, 1:-1].sum() == 5
+        assert_matches_one_row_blocks(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
+        assert_near_per_row_oracle(S41, mesh)
+
+    def test_bent_mesh_near_per_row_oracle(self):
+        # the non-minimal mesh of TestTension, where the tension is large
+        mesh = axis_mesh(33)
+        mesh.nodes[:, :, 2] += 3.0 * (mesh.grid.u_nodes[:, None] - 1.5) ** 2
+        assert_near_per_row_oracle(S41, mesh)
+
+    @pytest.mark.parametrize("space_kind", list(SpaceKind))
+    def test_negative_c_near_per_row_oracle(self, space_kind):
+        s = SpaceModel(space_kind, -1.3)
+        mesh = synthesize(s, AXIS_PARA, GRID.with_resolution(21, 21), Point(0, 2, 0, 0), force=True)
+        assert_near_per_row_oracle(s, mesh)
+
+    def test_one_christoffel_call_and_metric_call_per_block(self, monkeypatch):
+        # counted, not timed: each block is one Christoffel call, and each Christoffel
+        # call evaluates the metric once, at the centre and the eight shifts of every node
+        calls = []
+        inner_metric, inner_christoffel = spaces.metric_at, verify.christoffel_at
+
+        def metric(s, p):
+            calls.append(("metric_at", np.shape(p)))
+            return inner_metric(s, p)
+
+        def christoffel(s, p, q):
+            calls.append(("christoffel_at", np.shape(p)))
+            return inner_christoffel(s, p, q)
+
+        monkeypatch.setattr(spaces, "metric_at", metric)
+        monkeypatch.setattr(verify, "christoffel_at", christoffel)
+        tension_residual(S41, axis_mesh(33))
+        block = [("christoffel_at", (8, 31, 4)), ("metric_at", (8, 31, 9, 4))]
+        assert calls == block * 3 + [("christoffel_at", (7, 31, 4)), ("metric_at", (7, 31, 9, 4))]
 
     def test_transient_memory_stays_flat(self):
-        # the blocks bound the oracle's intermediates: 3.7 MB at 129^2, where
-        # one unblocked call over the interior peaks at about 44 MB
+        # the blocks bound the intermediates: 3.7 MB at 129^2 (nine metric
+        # evaluations per node), where one unblocked call over the interior
+        # peaks at about 45 MB
         mesh = axis_mesh(129)
         tracemalloc.start()
         try:
