@@ -16,21 +16,35 @@ from drmin.synthesis import synthesize
 from drmin.verify import verify_mesh
 
 
+def node_counts(text):
+    """The node counts of a comma-separated argument, each at least 3 (verify needs an
+    interior) and above the last (an order is a log in base (n - 1) / (n_prev - 1)).
+    """
+    try:
+        sizes = [int(x) for x in text.split(",")]
+    except ValueError:
+        sizes = [0]
+    if min(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(
+            f"expected increasing node counts >= 3, e.g. 17,33,65; got {text!r}"
+        )
+    return sizes
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--preset", default="s41-timelike-basic", choices=sorted(PRESETS))
     ap.add_argument(
-        "--grids", default="17,33,65,129",
+        "--grids", type=node_counts, default="17,33,65,129",
         help="comma-separated node counts, each roughly doubling the last",
     )
     args = ap.parse_args()
 
     p = PRESETS[args.preset]
     w = WeierstrassData.from_strings(list(p.psi_texts), p.algebra)
-    sizes = [int(x) for x in args.grids.split(",")]
 
     rows = []
-    for n in sizes:
+    for n in args.grids:
         mesh = synthesize(p.model(), w, p.grid.with_resolution(n, n), p.f0)
         err = reference_error(p, mesh)
         rep = verify_mesh(p.model(), mesh)

@@ -18,9 +18,22 @@ from drmin.verify import verify_mesh
 from drmin.weierstrass import validate
 
 
+def resolution(text):
+    """The (nu, nv) of an NUxNV argument; verify needs an interior, so both are at least 3."""
+    try:
+        nu, nv = (int(x) for x in text.lower().split("x"))
+    except ValueError:
+        nu = nv = 0
+    if min(nu, nv) < 3:
+        raise argparse.ArgumentTypeError(
+            f"expected NUxNV with NU, NV >= 3, e.g. 51x51; got {text!r}"
+        )
+    return nu, nv
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grid", default=None, help="override resolution, e.g. 51x51")
+    ap.add_argument("--grid", type=resolution, default=None, help="override resolution, e.g. 51x51")
     args = ap.parse_args()
 
     header = (
@@ -34,8 +47,7 @@ def main():
         t0 = time.perf_counter()
         grid = p.grid
         if args.grid:
-            nu, nv = (int(x) for x in args.grid.lower().split("x"))
-            grid = grid.with_resolution(nu, nv)
+            grid = grid.with_resolution(*args.grid)
         w = WeierstrassData.from_strings(list(p.psi_texts), p.algebra)
         model = p.model()
         vrep = validate(model, w, grid)

@@ -5,8 +5,8 @@ S41 puts the negative metric direction on the t-axis frame vector; the
 second-kind model S43 puts it on the central z-direction.  This module
 holds the description of the geometry that verify reads:
 
-* the coordinate metric tensor,
-* Christoffel symbols contracted with a symmetric tensor, from the metric alone,
+* the coordinate metric tensor, at real or complex points,
+* Christoffel symbols contracted with a symmetric tensor, from complex-step metric derivatives,
 * the signed conformal density, the frame signature's quadratic form.
 
 The other two descriptions sit beside their one reader: the orthonormal
@@ -62,8 +62,8 @@ class SpaceModel:
 
 
 def metric_at(s: SpaceModel, p) -> np.ndarray:
-    """Coordinate metric tensor in (x,y,z,t): shape (..., 4, 4) for points (..., 4)."""
-    p = np.asarray(p, dtype=float)
+    """Coordinate metric tensor in (x,y,z,t): shape (..., 4, 4), complex for complex points."""
+    p = np.asarray(p, dtype=complex if np.iscomplexobj(p) else float)
     c = s.c
     et = np.exp(-p[..., 3])
     e2t = np.exp(-2.0 * p[..., 3])
@@ -72,7 +72,7 @@ def metric_at(s: SpaceModel, p) -> np.ndarray:
     b = -0.5 * c * p[..., 0]
     s3 = 1.0 if s.kind is SpaceKind.FIRST else -1.0
     s4 = -1.0 if s.kind is SpaceKind.FIRST else 1.0
-    g = np.zeros(p.shape[:-1] + (4, 4))
+    g = np.zeros(p.shape[:-1] + (4, 4), dtype=p.dtype)
     g[..., 0, 0] = et + s3 * e2t * a * a
     g[..., 1, 1] = et + s3 * e2t * b * b
     g[..., 2, 2] = s3 * e2t
@@ -83,21 +83,15 @@ def metric_at(s: SpaceModel, p) -> np.ndarray:
     return g
 
 
-def _fd_step(p: np.ndarray) -> np.ndarray:
-    return 1e-5 * (1.0 + np.abs(p[..., 3]))
+# the metric is analytic: Im g(p + i*h*e_a) / h is d_a g to round-off for any tiny h
+COMPLEX_STEP = 1e-20
 
 
 def _metric_and_gradient(s: SpaceModel, p) -> tuple[np.ndarray, np.ndarray]:
-    """The metric at p and dg[..., a, i, j] = d_a g_ij, from one call at p and p +- h*e_a."""
-    p = np.asarray(p, dtype=float)
-    h = _fd_step(p)
-    pts = np.repeat(p[..., None, :], 9, axis=-2)
-    for a in range(4):
-        pts[..., 2 * a + 1, a] += h
-        pts[..., 2 * a + 2, a] -= h
-    g = metric_at(s, pts)
-    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * h)[..., None, None, None]
-    return g[..., 0, :, :], dg
+    """The metric at p (real parts) and dg[..., a, i, j] = d_a g_ij, from one complex-step call."""
+    with np.errstate(invalid="ignore"):  # complex exp warns on NaN where real exp is silent
+        g = metric_at(s, np.asarray(p, dtype=float)[..., None, :] + 1j * COMPLEX_STEP * np.eye(4))
+    return g[..., 0, :, :].real, g.imag / COMPLEX_STEP
 
 
 def christoffel_at(s: SpaceModel, p, q) -> np.ndarray:
@@ -105,7 +99,7 @@ def christoffel_at(s: SpaceModel, p, q) -> np.ndarray:
 
     The Koszul formula contracted with q: Gamma(q)^i = g^{im} w_m with
     w_m = sum_j (d_j g q)_{mj} - (1/2) <d_m g, q> (<,> the Frobenius
-    product), central-difference metric derivatives and one batched
+    product), complex-step metric derivatives and one batched
     solve for g^{im}; independent of the frame and the L-table.
     """
     g, dg = _metric_and_gradient(s, p)
@@ -113,7 +107,11 @@ def christoffel_at(s: SpaceModel, p, q) -> np.ndarray:
     q = np.reshape(q, n + (16, 1))
     # g and q are symmetric: sum_{j,l} d_j g_ml q_lj reads dg as a (16, 4) matrix over ((j, l), m)
     w = np.swapaxes(dg.reshape(n + (16, 4)), -1, -2) @ q - 0.5 * (dg.reshape(n + (4, 16)) @ q)
-    return np.linalg.solve(g, w)[..., 0]
+    try:
+        return np.linalg.solve(g, w)[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular metric (an overflowing node) reads NaN
+        bad = ~(np.abs(np.linalg.det(g)) > 0.0)[..., None, None]  # det 0 or NaN: a zero pivot
+        return np.linalg.solve(np.where(bad, np.eye(4), g), np.where(bad, np.nan, w))[..., 0]
 
 
 def conformal_density(s: SpaceModel, kind: Kind, psi) -> np.ndarray:

@@ -5,8 +5,9 @@ against the same references: the frame connection from the L-table and
 from the Christoffel symbols, the node-by-node generic harmonicity
 residual, split coordinates, tree printing, the per-stage march on the
 full two-column frame product (the package applies only the column a
-stage uses), the metric gradient with one metric call per coordinate
-shift, the full Christoffel tensor from the inverted metric (the package
+stage uses), the metric gradient by hand, by central differences and by
+one complex-step metric call per axis (the package makes one call on all
+four axes), the full Christoffel tensor from the inverted metric (the package
 contracts the Koszul formula first and solves), the tension residual
 with one such tensor per interior row, expression trees with no node
 object in two places, and the partial derivative trees that the package
@@ -24,7 +25,7 @@ from drmin.algebra import Kind, KindMismatchError, Scalar
 from drmin.expr import Add, Call, Conj, Const, Div, Expr, Mul, Neg, Pow, Sub, Unit, Var
 from drmin.expr import GridEval, WeierstrassData, evaluate_grid
 from drmin.mesh import SurfaceMesh
-from drmin.spaces import Point, SpaceModel, _fd_step, christoffel_at, metric_at
+from drmin.spaces import COMPLEX_STEP, Point, SpaceKind, SpaceModel, christoffel_at, metric_at
 from drmin.synthesis import frame_matrix
 from drmin.weierstrass import l_table
 
@@ -129,14 +130,14 @@ def lie_bracket_frame(s: SpaceModel, i: int, j: int) -> np.ndarray:
 def frame_connection_via_christoffel(s: SpaceModel, p: Point, i: int, j: int) -> np.ndarray:
     """Frame coefficients of nabla_{e_i} e_j computed in coordinates.
 
-    Uses only the finite-difference Christoffel oracle and numerical
+    Uses only the metric's Christoffel symbols and central-difference
     derivatives of the frame matrix, then changes back to the frame.
     Serves as the independent cross-check of frame_connection.  Gamma is
     symmetric in its lower indices, so Gamma(e_i, e_j) is the package's
     contraction with sym(e_i (x) e_j), the route verify runs.
     """
     base = np.asarray(p, dtype=float)
-    h = float(_fd_step(base))
+    h = float(fd_step(base))
     A = frame_matrix(s, base)
     ei = A[:, i - 1]
     # directional derivative of the column e_j along e_i
@@ -205,10 +206,40 @@ def mesh_tangent_consistency(s: SpaceModel, w: WeierstrassData, mesh: SurfaceMes
     return float(np.maximum(np.abs(fu_fd[inner] - fu).max(), np.abs(fv_fd[inner] - fv).max()))
 
 
+def metric_gradient_exact(s: SpaceModel, p) -> np.ndarray:
+    """dg[..., a, i, j] = d_a g_ij, differentiated by hand from the entries of metric_at."""
+    p = np.asarray(p, dtype=float)
+    c = s.c
+    et = np.exp(-p[..., 3])
+    e2t = (1.0 if s.kind is SpaceKind.FIRST else -1.0) * np.exp(-2.0 * p[..., 3])
+    a, b = 0.5 * c * p[..., 1], -0.5 * c * p[..., 0]
+    dg = np.zeros(p.shape[:-1] + (4, 4, 4))
+    # x moves only b = -(c/2) x, y only a = (c/2) y, and z nothing
+    dg[..., 0, 1, 1] = -c * e2t * b
+    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = -0.5 * c * e2t * a
+    dg[..., 0, 1, 2] = dg[..., 0, 2, 1] = -0.5 * c * e2t
+    dg[..., 1, 0, 0] = c * e2t * a
+    dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = 0.5 * c * e2t * b
+    dg[..., 1, 0, 2] = dg[..., 1, 2, 0] = 0.5 * c * e2t
+    # t scales e^{-t} by -1 and e^{-2t} by -2
+    dg[..., 3, 0, 0] = -et - 2.0 * e2t * a * a
+    dg[..., 3, 1, 1] = -et - 2.0 * e2t * b * b
+    dg[..., 3, 2, 2] = -2.0 * e2t
+    dg[..., 3, 0, 1] = dg[..., 3, 1, 0] = -2.0 * e2t * a * b
+    dg[..., 3, 0, 2] = dg[..., 3, 2, 0] = -2.0 * e2t * a
+    dg[..., 3, 1, 2] = dg[..., 3, 2, 1] = -2.0 * e2t * b
+    return dg
+
+
+def fd_step(p: np.ndarray) -> np.ndarray:
+    """The central-difference step at points p, scaled with the e^{-t} factors of the metric."""
+    return 1e-5 * (1.0 + np.abs(p[..., 3]))
+
+
 def metric_gradient_by_axis(s: SpaceModel, p) -> np.ndarray:
     """Central-difference dg[..., a, i, j] = d_a g_ij, two metric calls per axis a."""
     p = np.asarray(p, dtype=float)
-    h = _fd_step(p)
+    h = fd_step(p)
     dg = np.zeros(p.shape[:-1] + (4, 4, 4))
     for a in range(4):
         plus = p.copy()
@@ -219,11 +250,19 @@ def metric_gradient_by_axis(s: SpaceModel, p) -> np.ndarray:
     return dg
 
 
+def metric_gradient_by_complex_step(s: SpaceModel, p) -> np.ndarray:
+    """dg[..., a, i, j] = Im g_ij(p + i*COMPLEX_STEP*e_a) / COMPLEX_STEP, a call per axis."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(invalid="ignore"):  # complex exp warns on NaN coordinates
+        return np.stack([metric_at(s, p + 1j * COMPLEX_STEP * e).imag / COMPLEX_STEP
+                         for e in np.eye(4)], axis=-3)
+
+
 def christoffel_by_axis(s: SpaceModel, p) -> np.ndarray:
     """The full Gamma[..., i, j, l] by the Koszul formula, from the inverted metric."""
     g = metric_at(s, p)
     ginv = np.linalg.inv(g)
-    dg = metric_gradient_by_axis(s, p)
+    dg = metric_gradient_by_complex_step(s, p)
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
     return 0.5 * np.einsum("...im,...mjl->...ijl", ginv, term)
 

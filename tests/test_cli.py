@@ -405,10 +405,17 @@ def _data(lines):
     return lines.index("u,v,x,y,z,t") + 1
 
 
-def _nan_node(lines):
-    # node (4, 5) of the 9x9 mesh, at (u, v) = (1.5, 0.25), gets a NaN t
-    k = _data(lines) + 4 * 9 + 5
-    return lines[:k] + [lines[k].rsplit(",", 1)[0] + ",nan"] + lines[k + 1:]
+def _node(axis, text):
+    """Mesh edit: text as the axis coordinate of node (4, 5), (u, v) = (1.5, 0.25), at 9x9."""
+    def edit(lines):
+        k = _data(lines) + 4 * 9 + 5
+        row = lines[k].split(",")
+        row[2 + "xyzt".index(axis)] = text
+        return lines[:k] + [",".join(row)] + lines[k + 1:]
+    return edit
+
+
+_nan_node = _node("t", "nan")
 
 
 def _uv_seven(lines):
@@ -458,6 +465,12 @@ CONTRACT = [
      ["export", "bad.csv", "--format", "csv", "--out", "s.csv"],
      EXIT_INPUT_ERROR, "non-finite node at (u, v) = (1.5, 0.25)"),
     ("verify-non-finite-node", GOOD_INI, _nan_node, VERIFY, EXIT_MATH_FAILURE, "verdict: FAIL"),
+    # an overflowing or infinite node: its metric is singular (t = 800, t = inf, x = 1e200)
+    # or overflows, and its tension reads NaN
+    *((f"verify-node-{axis}-{text}", GOOD_INI, _node(axis, text), VERIFY, EXIT_MATH_FAILURE,
+       "tension sup-norm nan exceeds 1.0e-02")
+      for axis, text in [("t", "800"), ("t", "inf"), ("x", "1e200"), ("x", "inf"), ("t", "-inf"),
+                         ("t", "-800")]),
     ("uv-all-seven", GOOD_INI, _uv_seven, VERIFY,
      EXIT_INPUT_ERROR, "mesh row 1 has (u, v) = (7.0, 7.0) where the grid node is (1.0, -1.0)"),
     ("uv-swapped-rows", GOOD_INI, _swap_rows, ["export", "bad.csv", "--out", "s.obj"],

@@ -51,6 +51,20 @@ def test_convergence_study():
     assert 1.5 <= float(rows[-1][4]) <= 2.5
 
 
+@pytest.mark.parametrize("name, option, text", [
+    ("run_presets.py", "--grid", "9"),
+    ("run_presets.py", "--grid", "2x9"),
+    ("convergence_study.py", "--grids", "9,9"),  # a log in base 1
+    ("convergence_study.py", "--grids", "17,9x"),
+])
+def test_bad_resolution_is_a_usage_error(name, option, text):
+    proc = run_script(name, option, text)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ") and "Traceback" not in proc.stderr
+    assert f"argument {option}: expected " in proc.stderr and repr(text) in proc.stderr
+
+
 @pytest.mark.parametrize("workload", ["pipeline-21", "screen-17", "refine-ladder"])
 def test_benchmark_block_passes_its_checks(workload, tmp_path, monkeypatch):
     # the benchmark's workloads, imported unchanged: every op of block 0

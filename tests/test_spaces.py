@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drmin.spaces import (
+    COMPLEX_STEP,
     Point,
     SpaceKind,
     SpaceModel,
@@ -20,6 +21,8 @@ from oracles import (
     frame_connection_via_christoffel,
     lie_bracket_frame,
     metric_gradient_by_axis,
+    metric_gradient_by_complex_step,
+    metric_gradient_exact,
 )
 
 S41 = SpaceModel(SpaceKind.FIRST, 1.0)
@@ -53,6 +56,21 @@ class TestMetric:
 
     def test_second_kind_origin(self):
         assert np.allclose(metric_at(S43, ORIGIN), np.diag([1, 1, -1, 1]))
+
+    def test_dtype_follows_the_points(self):
+        # complex points give the complex metric whose real part is the metric;
+        # integer and float points give float64
+        rng = np.random.default_rng(3)
+        p = rng.uniform([-3, -3, -3, -2], [3, 3, 3, 2], size=(50, 4))
+        for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
+            g = metric_at(s, p + 1j * COMPLEX_STEP)
+            assert g.dtype == np.complex128
+            want = metric_at(s, p)
+            assert_within_metric_bound(g.real, want)
+            assert want.dtype == np.float64
+            assert metric_at(s, [1, 2, 3, 0]).dtype == np.float64
+            assert metric_at(s, np.arange(8).reshape(2, 4)).dtype == np.float64
+            assert metric_at(s, ORIGIN).dtype == np.float64
 
     def test_cross_terms(self):
         # dz couples to dx and dy away from the z-axis
@@ -212,15 +230,59 @@ class TestPointArrays:
 
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
     def test_gradient_batch_equals_per_axis_loop(self, shape):
-        # the centre and its eight shifts in one call take the same arithmetic as
-        # one metric call at the centre and two calls per axis
+        # the four complex steps in one call take the same arithmetic as one
+        # complex metric call per axis; the metric is the real part of the x step
         rng = random.Random(13)
         pts = np.array([p.as_array() for p in random_points(rng, math.prod(shape))])
         pts = pts.reshape(shape + (4,))
         for s in (S41, S43, SpaceModel(SpaceKind.FIRST, -1.3)):
             g, dg = _metric_and_gradient(s, pts)
-            assert g.tobytes() == metric_at(s, pts).tobytes()
-            assert dg.tobytes() == metric_gradient_by_axis(s, pts).tobytes()
+            along_x = metric_at(s, pts + [1j * COMPLEX_STEP, 0, 0, 0])
+            assert g.tobytes() == along_x.real.tobytes()
+            assert dg.tobytes() == metric_gradient_by_complex_step(s, pts).tobytes()
+
+
+EPS = np.finfo(float).eps
+# the real part of the complex metric rounds differently where numpy's complex
+# exp differs from its real exp (about 8 % of points)
+METRIC_ULPS = 4
+# the complex-step gradient against the hand-derived one, per point, in units
+# of eps times the point's largest |d_a g_ij|
+GRADIENT_ULPS = 8
+# the central-difference cross-check, relative to the same scale
+CENTRAL_DIFFERENCE_REL = 1e-8
+
+
+def assert_within_metric_bound(got, want):
+    """Each point's metric within METRIC_ULPS * eps of its largest entry."""
+    scale = np.abs(want).max(axis=(-2, -1))
+    assert (np.abs(got - want).max(axis=(-2, -1)) <= METRIC_ULPS * EPS * scale).all()
+
+
+class TestMetricGradient:
+    @pytest.mark.parametrize("space_kind", list(SpaceKind))
+    @pytest.mark.parametrize("c", [1.0, -1.3])
+    def test_routes_match_hand_derived_gradient(self, space_kind, c):
+        s = SpaceModel(space_kind, c)
+        p = np.random.default_rng(23).uniform([-3, -3, -3, -2], [3, 3, 3, 2], size=(4000, 4))
+        g, dg = _metric_and_gradient(s, p)
+        exact = metric_gradient_exact(s, p)
+        scale = np.abs(exact).max(axis=(-3, -2, -1))
+        assert (scale > 0).all()
+
+        def worst(got):
+            return np.abs(got - exact).max(axis=(-3, -2, -1)) / scale
+
+        assert (worst(dg) <= GRADIENT_ULPS * EPS).all()
+        assert (worst(metric_gradient_by_axis(s, p)) <= CENTRAL_DIFFERENCE_REL).all()
+        assert_within_metric_bound(g, metric_at(s, p))
+
+    def test_known_gradient_at_origin(self):
+        # d_t g_xx = -e^{-t}, d_y g_xz = c/2 in the first-kind model
+        _, dg = _metric_and_gradient(S41, ORIGIN)
+        assert dg[3, 0, 0] == -1.0
+        assert dg[1, 0, 2] == dg[1, 2, 0] == 0.5
+        assert (dg[2] == 0.0).all()  # nothing depends on z
 
 
 def contraction_scale(s, p, q):
@@ -230,7 +292,7 @@ def contraction_scale(s, p, q):
     both routes (inverse and einsum there, contraction and solve here) is
     a small multiple of eps times it.
     """
-    dg = metric_gradient_by_axis(s, p)
+    dg = metric_gradient_by_complex_step(s, p)
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
     ginv = np.abs(np.linalg.inv(metric_at(s, p)))
     return 0.5 * np.einsum("...im,...mjl,...jl->...i", ginv, np.abs(term), np.abs(q)).max(axis=-1)

@@ -144,7 +144,7 @@ def assert_matches_one_row_blocks(tmp_path, monkeypatch, s, mesh, w=None):
 
 # the stated bound on verify's tension against the full-Koszul per-row oracle, in units of
 # eps * scale: the two routes round differently (contraction and solve against the inverse
-# metric and einsums), the same central differences enter both
+# metric and einsums), the same complex-step derivatives enter both
 TENSION_ULPS = 8
 
 
@@ -222,6 +222,23 @@ class TestBlockedTension:
         assert_matches_one_row_blocks(tmp_path, monkeypatch, S41, mesh, AXIS_PARA)
         assert_near_per_row_oracle(S41, mesh)
 
+    @pytest.mark.parametrize("axis, value", [(3, 800.0), (3, np.inf), (0, 1e200)])
+    def test_singular_metric_node_reads_nan(self, monkeypatch, axis, value):
+        # the metric there is exactly singular (e^{-800} is 0) or not finite: that node
+        # alone reads NaN, and every other node matches one-row blocks, where only the
+        # node's own row takes the singular-metric path
+        mesh = axis_mesh(17)
+        mesh.nodes[8, 8, axis] = value
+        with np.errstate(all="ignore"):  # the stencils through the node overflow
+            got = tension_residual(S41, mesh)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "CHRISTOFFEL_NODES", 1)
+                rows = tension_residual(S41, mesh)
+        assert np.isnan(got[8, 8]).all()
+        others = np.ones(got.shape[:2], dtype=bool)
+        others[8, 8] = False
+        assert got[others].tobytes() == rows[others].tobytes()
+
     def test_bent_mesh_near_per_row_oracle(self):
         # the non-minimal mesh of TestTension, where the tension is large
         mesh = axis_mesh(33)
@@ -236,11 +253,12 @@ class TestBlockedTension:
 
     def test_one_christoffel_call_and_metric_call_per_block(self, monkeypatch):
         # counted, not timed: each block is one Christoffel call, and each Christoffel
-        # call evaluates the metric once, at the centre and the eight shifts of every node
+        # call evaluates the metric once, at the four complex steps of every node
         calls = []
         inner_metric, inner_christoffel = spaces.metric_at, verify.christoffel_at
 
         def metric(s, p):
+            assert np.iscomplexobj(p)
             calls.append(("metric_at", np.shape(p)))
             return inner_metric(s, p)
 
@@ -251,13 +269,13 @@ class TestBlockedTension:
         monkeypatch.setattr(spaces, "metric_at", metric)
         monkeypatch.setattr(verify, "christoffel_at", christoffel)
         tension_residual(S41, axis_mesh(33))
-        block = [("christoffel_at", (8, 31, 4)), ("metric_at", (8, 31, 9, 4))]
-        assert calls == block * 3 + [("christoffel_at", (7, 31, 4)), ("metric_at", (7, 31, 9, 4))]
+        block = [("christoffel_at", (8, 31, 4)), ("metric_at", (8, 31, 4, 4))]
+        assert calls == block * 3 + [("christoffel_at", (7, 31, 4)), ("metric_at", (7, 31, 4, 4))]
 
     def test_transient_memory_stays_flat(self):
-        # the blocks bound the intermediates: 3.7 MB at 129^2 (nine metric
-        # evaluations per node), where one unblocked call over the interior
-        # peaks at about 45 MB
+        # the blocks bound the intermediates: 3.7 MB at 129^2 (four complex
+        # metric evaluations per node), where one unblocked call over the
+        # interior peaks at about 30 MB
         mesh = axis_mesh(129)
         tracemalloc.start()
         try:
