@@ -3,14 +3,14 @@
 The coordinate tangents are f_u = 2 Re(A(f) psi), f_v = 2 Im(A(f) psi),
 where A is the frame matrix evaluated along the (unknown) surface itself,
 so each grid line is an ODE in the four coordinates.  The mesh is built
-by classic RK4 marching: first along the u-row through the base point,
-then along all v-columns, each sweep both ways at once.  A is the frame
-of R acting on the Heisenberg group (z its centre), so it is triangular
-and RK4 runs as quadratures: t, then x and y, then z.  Re-marching in
-the transposed order gives an independent integrability check: for
-genuine solutions the two meshes agree to integrator accuracy, for
-corrupted data they visibly diverge.  The frame lives here, beside the
-march, its one reader.
+by classic RK4 marching along the u-row through the base point and along
+every v-column, which starts from its node on that row; all of them run
+both ways at once, in one pass per level.  A is the frame of R acting on
+the Heisenberg group (z its centre), so it is triangular and RK4 runs as
+quadratures: t, then x and y, then z.  Re-marching in the transposed
+order gives an independent integrability check: for genuine solutions
+the two meshes agree to integrator accuracy, for corrupted data they
+visibly diverge.  The frame lives here, beside the march, its one reader.
 """
 
 from __future__ import annotations
@@ -67,114 +67,136 @@ def frame_matrix(s: SpaceModel, p, rows=(0, 1, 2, 3)) -> np.ndarray:
     return A.transpose(*range(2, A.ndim), 0, 1)
 
 
-def _rk4(s, w, y, coords, base: int, fixed, axis: int) -> np.ndarray:
-    """RK4 states on every node of a coordinate line, marched out both ways from node base.
-
-    y holds the state at the base node of each stacked line, shape
-    (..., 4); the other parameter is fixed (a scalar, or one value per
-    line).  Returns the states, shape (len(coords), ..., 4).  The frame's
-    t row is constant, its x and y rows read t and its z row x, y and t,
-    so one pass per level (t, then x and y, then z) marches every step of
-    both runs, ahead of the base node and behind it: it reads only the
-    level's frame rows at the stage points, forms the four stages in one
-    product with psi per frame call, and np.add.accumulate sums each run's
-    increments in marching order, in place.  The arrays are held
-    coordinate-major, so each operation runs over whole blocks.  psi is
-    evaluated once, on the base node and every later node and step
-    midpoint a + 0.5*h; once gathered per stage, only its failed nodes and
-    their errors are kept.  Only if psi failed somewhere or a run ends
-    non-finite is the first failure sought: a run fails at its first stage
-    reading a node where psi fails or at its first non-finite state, the
-    run ahead first.
-    """
-    lines = y.shape[:-1]
-    out = np.empty((4, len(coords), *lines))
-    nodes = out.transpose(*range(1, out.ndim), 0)  # the states node by node, as returned
-    nodes[base] = y
-    runs = (coords[base:], coords[base::-1])
-    states = (out[:, base:], out[:, base::-1])  # views: each run's states in marching order
-    n = [len(c) - 1 for c in runs]
-    steps = n[0] + n[1]
-    spans = ((0, n[0]), (n[0], steps))
-    # the base node, every later node, then the midpoints, taken per run: reversed
-    # steps do not always round to the same float
-    x = np.concatenate([coords[base:base + 1], runs[0][1:], runs[1][1:],
-                        *(c[:-1] + 0.5 * (c[1:] - c[:-1]) for c in runs)])
-    x = x.reshape(-1, *[1] * len(lines))
-    ev = evaluate_grid(w.psi, *((x, fixed) if axis == 0 else (fixed, x)), w.kind)
-    # the lattice row of each stage of each step, run after run: node,
-    # midpoint twice, next node; a run's first step starts at the base row 0
-    nxt = np.arange(1, steps + 1)
-    node = nxt - 1
-    node[n[0]:n[0] + 1] = 0
-    rows = np.stack([node, steps + nxt, steps + nxt, nxt])
-    psi = np.stack([val[axis] for val in ev.values])[:, rows]  # (component, stage, step, ...)
-    # keep only the failures: the lattice values are freed once psi is gathered
-    bad, errors = ev.bad.reshape(len(x), -1), ev.first_errors
-    del ev
-    h = x[nxt] - x[node]
-    h6 = h / 6.0
-    hk = np.stack([0.5 * h, 0.5 * h, h])  # k1, k2 and k3 to the next stage points
-    at = np.empty((4, 4, steps, *lines))  # the stage points, component-major
-    points = at.transpose(*range(1, at.ndim), 0)
-    per = max(1, FRAME_POINTS // (steps * (y.size // 4)))  # stages per frame call
-    # the t row is constant, so the t level reads its frame once, at y
-    for frame_rows, where, chunk in (((3,), y[None, None], 4), ((0, 1), points, per),
-                                     ((2,), points, per)):
-        cols = slice(frame_rows[0], frame_rows[-1] + 1)
-        k = np.empty((len(frame_rows), 4, steps, *lines))
-        for j in range(0, 4, chunk):
-            a = frame_matrix(s, where[j:j + chunk], frame_rows)
-            a = a.transpose(-2, -1, *range(a.ndim - 2))  # (row, component, stage, step, ...)
-            np.add.reduce(a * psi[:, j:j + chunk], axis=1, out=k[:, j:j + chunk])
-        k *= 2.0
-        inc = h6 * (k[:, 0] + 2.0 * k[:, 1] + 2.0 * k[:, 2] + k[:, 3])
-        for run, (i, m) in zip(states, spans):
-            part = run[cols]
-            part[:, 1:] = inc[:, i:m]
-            np.add.accumulate(part, axis=1, out=part)
-        if frame_rows == (2,):
-            break  # no frame row reads z, so z needs no stage points
-        for run, (i, m) in zip(states, spans):
-            at[cols, 0, i:m] = run[cols, :-1]
-        np.add(at[cols, :1], hk * k[:, :3], out=at[cols, 1:])
-    if not bad.any() and np.isfinite(out[:, [0, -1]]).all():
-        return nodes  # a non-finite state stays non-finite along its run
-    bad_row = bad.any(axis=1)
-    for run, (i, m), c in zip(states, spans, runs):
-        # per step: its four stages' psi rows, then the state it reaches
-        blown = ~np.isfinite(run[:, 1:]).all(axis=(0, *range(2, run.ndim)))
-        events = np.column_stack([bad_row[rows[:, i:m]].T, blown])
-        if events.any():
-            step, stage = divmod(int(events.argmax()), 5)
-            if stage == 4:
-                raise StepFailureError(f"non-finite state at {'uv'[axis]} = {float(c[step + 1])!r}")
-            row = rows[stage, i + step]  # its first bad node, row-major, as evaluate_grid keys it
-            exc = errors[row * bad.shape[1] + int(bad[row].argmax())]
-            raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
-    return nodes
-
-
+# a state that blows up, and every state marched on from it, is caught by the
+# march's finiteness check
+@np.errstate(over="ignore", invalid="ignore")
 def _march(s, w, grid: DomainGrid, f0, transposed: bool) -> np.ndarray:
-    """(nu, nv, 4) mesh marched out from f0 at the base node.
+    """(nu, nv, 4) mesh marched by RK4 out from f0 at the base node, in one pass per level.
 
     The base line runs along u (along v if transposed) through the base
-    node; then every line crossing it is marched as one stacked state,
-    with the other parameter held at its node on the base line.
+    node; every line crossing it starts from its node there, with the
+    other parameter held at that node.  Each sweep (the base line, the
+    crossing lines as one) marches out both ways from the base node: a run
+    ahead of it and a run behind it.  psi is evaluated once, as flat
+    points: the base line's lattice, then the crossing lines', each the
+    base node and every later node and step midpoint a + 0.5*h of its
+    runs.  The frame's t row is constant, its x and y rows read t and its
+    z row x, y and t, so one pass per level (t, then x and y, then z)
+    marches every step of the four runs: it reads only the level's frame
+    rows at all the stage points (the t row once, at f0), forms the four
+    stages in one product with psi per frame call, and np.add.accumulate
+    sums each run's increments in marching order, in place, the base
+    line's first, since its states are the crossing lines' base row.  The
+    arrays are held coordinate-major, then stage, then the runs' steps and
+    lines flat, so each operation runs over whole blocks.  Only if psi
+    failed somewhere or a line ends non-finite is the first failure
+    sought, the base line's runs first, each run ahead before the run
+    behind: a run fails at its first stage reading a node where psi fails
+    or at its first non-finite state.
     """
     nodes = (grid.u_nodes, grid.v_nodes)
     base = grid.base_index
     first = 1 if transposed else 0  # the axis the base line runs along
     second = 1 - first
-    # a state that blows up, and every state marched on from it, is caught by
-    # _rk4's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        line = _rk4(s, w, np.asarray(f0, dtype=float), nodes[first], base[first],
-                    nodes[second][base[second]], first)
-        sheet = _rk4(s, w, line, nodes[second], base[second], nodes[first], second)
+    sheet = np.empty((4, len(nodes[second]), len(nodes[first])))  # the states, coordinate-major
+    line = sheet[:, base[second], :, None]  # the base line is the crossing lines' base row
+    f0 = np.asarray(f0, dtype=float)
+    line[:, base[first], 0] = f0
+    lattice = ([], [])  # the flat lattice's u and v, sweep after sweep
+    # per sweep: its axis, its block of the flat lattice, its lines, the lattice row
+    # of each stage of each step, its span of the stage points, h/6, the steps to
+    # the next stage points, and its two runs (states, coordinates, span of steps)
+    sweeps = []
+    start = points = 0
+    for axis, states, fixed in ((first, line, nodes[second][base[second]:base[second] + 1]),
+                                (second, sheet, nodes[first])):
+        coords, b = nodes[axis], base[axis]
+        ahead, behind = coords[b:], coords[b::-1]
+        n, steps, lines = len(ahead) - 1, len(coords) - 1, len(fixed)
+        # the base node, every later node, then the midpoints, taken per run:
+        # reversed steps do not always round to the same float
+        x = np.concatenate([coords[b:b + 1], ahead[1:], behind[1:],
+                            *(c[:-1] + 0.5 * (c[1:] - c[:-1]) for c in (ahead, behind))])
+        lattice[axis].append(np.repeat(x, lines))
+        lattice[1 - axis].append(np.tile(fixed, len(x)))
+        # the lattice row of each stage of each step, run after run: node,
+        # midpoint twice, next node; a run's first step starts at the base row 0
+        nxt = np.arange(1, steps + 1)
+        node = nxt - 1
+        node[n:n + 1] = 0
+        h = (x[nxt] - x[node])[:, None]  # per step, broadcast over the lines
+        sweeps.append((axis, slice(start, start + x.size * lines), lines,
+                       np.stack([node, steps + nxt, steps + nxt, nxt]),
+                       slice(points, points + steps * lines), h / 6.0,
+                       np.stack([0.5 * h, 0.5 * h, h]),
+                       ((states[:, b:], ahead, 0, n), (states[:, b::-1], behind, n, steps))))
+        start += x.size * lines
+        points += steps * lines
+
+    def steps_of(a, span, lines):  # a sweep's part of a level array, as (..., step, line)
+        return a[..., span].reshape(*a.shape[:-1], -1, lines)
+
+    ev = evaluate_grid(w.psi, *map(np.concatenate, lattice), w.kind)
+    del lattice
+    psi = np.empty((4, 4, points))  # (component, stage, point)
+    for axis, block, lines, rows, span, *_ in sweeps:
+        for comp, val in zip(psi, ev.values):
+            steps_of(comp, span, lines)[...] = val[axis][block].reshape(-1, lines)[rows]
+    # keep only the failures: the lattice values are freed once psi is gathered
+    bad, errors = ev.bad, ev.first_errors
+    del ev, val
+    at = np.empty((4, 4, points))  # the stage points, coordinate-major
+    k = np.empty((2, 4, points))
+    per = max(1, FRAME_POINTS // points)  # stages per frame call
+    # the t row is constant, so the t level reads its frame once, at f0
+    for frame_rows, where, chunk in (((3,), f0[None, None], 4),
+                                     ((0, 1), at.transpose(1, 2, 0), per),
+                                     ((2,), at.transpose(1, 2, 0), per)):
+        cols = slice(frame_rows[0], frame_rows[-1] + 1)
+        kl = k[:len(frame_rows)]
+        for j in range(0, 4, chunk):
+            a = frame_matrix(s, where[j:j + chunk], frame_rows)
+            a = a.transpose(-2, -1, *range(a.ndim - 2))  # (row, component, stage, point)
+            np.add.reduce(a * psi[:, j:j + chunk], axis=1, out=kl[:, j:j + chunk])
+        kl *= 2.0
+        # each step's k1 + 2*k2 + 2*k3 + k4, in place of k4, which no stage point reads
+        inc = np.add(kl[:, 0] + 2.0 * kl[:, 1] + 2.0 * kl[:, 2], kl[:, 3], out=kl[:, 3])
+        # the base line's runs first: their states seed the crossing lines
+        for axis, block, lines, rows, span, h6, hk, runs in sweeps:
+            inc_s = steps_of(inc, span, lines)
+            for states, c, i, m in runs:
+                part = states[cols]
+                np.multiply(h6[i:m], inc_s[:, i:m], out=part[:, 1:])
+                np.add.accumulate(part, axis=1, out=part)
+        if frame_rows == (2,):
+            break  # no frame row reads z, so z needs no stage points
+        for axis, block, lines, rows, span, h6, hk, runs in sweeps:
+            at_s = steps_of(at[cols], span, lines)
+            for states, c, i, m in runs:
+                at_s[:, 0, i:m] = states[cols, :-1]
+            np.add(at_s[:, :1], hk * steps_of(kl[:, :3], span, lines), out=at_s[:, 1:])
     # node-major, each node's four coordinates adjacent, as the mesh's readers iterate
-    sheet = np.ascontiguousarray(sheet)
-    return sheet if transposed else sheet.swapaxes(0, 1)
+    out = np.ascontiguousarray(sheet.transpose(1, 2, 0))
+    out = out if transposed else out.swapaxes(0, 1)
+    if not bad.any() and np.isfinite(sheet[:, [0, -1]]).all():
+        return out  # a non-finite state stays non-finite along its line
+    for axis, block, lines, rows, span, h6, hk, runs in sweeps:
+        sweep_bad = bad[block].reshape(-1, lines)
+        bad_row = sweep_bad.any(axis=1)
+        for states, c, i, m in runs:
+            # per step: its four stages' psi rows, then the state it reaches
+            blown = ~np.isfinite(states[:, 1:]).all(axis=(0, 2))
+            events = np.column_stack([bad_row[rows[:, i:m]].T, blown])
+            if events.any():
+                step, stage = divmod(int(events.argmax()), 5)
+                if stage == 4:
+                    name = f"{'uv'[axis]} = {float(c[step + 1])!r}"
+                    raise StepFailureError(f"non-finite state at {name}")
+                # its first bad node, row-major, as evaluate_grid keys it
+                row = rows[stage, i + step]
+                exc = errors[block.start + row * lines + int(sweep_bad[row].argmax())]
+                raise StepFailureError(f"evaluation failed during marching: {exc}") from exc
+    return out
 
 
 def synthesize(

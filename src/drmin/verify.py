@@ -31,12 +31,13 @@ CHRISTOFFEL_NODES = 256
 def causal_character(E, F, G):
     """'spacelike', 'timelike' or 'degenerate' from the first fundamental form.
 
-    E, F, G may be arrays; then the result is an object array of labels
-    of the same shape.
+    A form with a NaN or infinite entry is 'undefined'.  E, F, G may be
+    arrays; then the result is an object array of labels of the same shape.
     """
     det = E * G - F * F
     band = DEGENERACY_BAND_SCALE * (1.0 + E * E + G * G)
     out = np.where(np.abs(det) <= band, "degenerate", np.where(det < 0.0, "timelike", "spacelike"))
+    out = np.where(np.isfinite(E) & np.isfinite(F) & np.isfinite(G), out, "undefined")
     return out.astype(object) if out.ndim else str(out)
 
 

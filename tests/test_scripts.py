@@ -96,20 +96,21 @@ def run_benchmark(workload, trace):
 
 
 @pytest.mark.parametrize("workload, frame_calls, steps, christoffel_calls", [
-    ("pipeline-21", 12, 440, 2), ("refine-ladder", 24, 1456, 6),
+    ("pipeline-21", 6, 440, 2), ("refine-ladder", 15, 1456, 6),
 ])
 def test_traced_benchmark_reports_every_layer_metric(workload, frame_calls, steps,
                                                      christoffel_calls):
     # a counter or span whose target drmin no longer has drops its metric; one
-    # that drmin stops calling reads 0.  A sweep marches both its directions
-    # level by level (t, x and y, z) and calls frame_matrix once for its t
-    # level and, for each other level, once per synthesis.FRAME_POINTS (2048)
-    # stage points, or once per stage where one stage holds more.  Up to 21^2
-    # a march makes 6 calls; at 33^2 its sweep of 33 lines of 32 steps makes
-    # 1 + 4 + 4, so 12.  So an op makes 12 (two marches at 21^2) or 24 (one
-    # each at 9^2, 17^2 and 33^2).  The tension makes one Christoffel call per
-    # block of at most 256 interior nodes (2 blocks at 21^2; 1, 1 and 4 at
-    # 9^2, 17^2 and 33^2).
+    # that drmin stops calling reads 0.  A march takes every step of the base
+    # line and of the lines crossing it level by level (t, x and y, z) and
+    # calls frame_matrix once for its t level and, for each other level, once
+    # per synthesis.FRAME_POINTS (2048) stage points, or once per stage where
+    # one stage holds more.  An n^2 march has (n - 1) + (n - 1)*n steps of
+    # four stages: up to 21^2 (1760 points) it makes 1 + 1 + 1 = 3 calls; at
+    # 33^2 one stage holds 1088 points, so 1 + 4 + 4 = 9.  So an op makes 6
+    # (two marches at 21^2) or 15 (one each at 9^2, 17^2 and 33^2).  The
+    # tension makes one Christoffel call per block of at most 256 interior
+    # nodes (2 blocks at 21^2; 1, 1 and 4 at 9^2, 17^2 and 33^2).
     metrics = run_benchmark(workload, trace=1)
     assert [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in metrics] == []
     assert metrics["spaces.frame_matrix_calls"]["value"] == frame_calls

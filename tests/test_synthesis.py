@@ -225,6 +225,12 @@ class TestLatticeMarchAgainstOracle:
                      id="both-off-centre"),
         pytest.param(lambda grid: SKEWED_AHEAD, id="skewed-ahead"),
         pytest.param(lambda grid: SKEWED_BEHIND, id="skewed-behind"),
+        # the crossing lines are indexed by the base line's node count, so a
+        # transposed index shows only off the square grid
+        *(pytest.param(lambda grid, nu=nu, nv=nv: grid.with_resolution(nu, nv), id=f"{nu}x{nv}")
+          for nu, nv in ((5, 13), (13, 5), (2, 9))),
+        pytest.param(lambda grid: off_centre(grid, u0=grid.u_min, v0=grid.v_max),
+                     id="corner-base"),
     ])
     @pytest.mark.parametrize("name, texts, c", MARCH_DATA)
     def test_meshes_bit_identical(self, name, texts, c, n, transposed):
@@ -236,9 +242,10 @@ class TestLatticeMarchAgainstOracle:
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_one_psi_evaluation_per_sweep(self, name, transposed, monkeypatch):
-        # both directions of a sweep share one lattice and its base row; the u
-        # sweep's behind direction has no step at the presets' base node u_min
+    def test_one_psi_evaluation_per_march(self, name, transposed, monkeypatch):
+        # both sweeps share one flat lattice, and both directions of a sweep
+        # its base row; the u sweep's behind direction has no step at the
+        # presets' base node u_min
         grids = []
         real = synthesis.evaluate_grid
 
@@ -250,8 +257,27 @@ class TestLatticeMarchAgainstOracle:
         p = PRESETS[name]
         _march(p.model(), preset_data(p), p.grid.with_resolution(9, 9), p.f0, transposed)
         # along u 9 nodes and 8 midpoints ahead; along v the base node, then
-        # 4 nodes and 4 midpoints each way
-        assert grids == [(17,), (17, 9)]
+        # 4 nodes and 4 midpoints each way: 17 points on the base line, then
+        # 17 on each of the 9 lines crossing it
+        assert grids == [(17 + 17 * 9,)]
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 9, 17, 21])
+    def test_one_frame_call_per_level(self, n, transposed, monkeypatch):
+        # the base line and its crossing lines share each level's frame call:
+        # up to 21^2 the four stages of all 20 + 20*21 steps fit one call of
+        # synthesis.FRAME_POINTS (2048) points, so t, x and y, and z make 3
+        calls = []
+
+        def counted(s, p, rows=(0, 1, 2, 3)):
+            calls.append(rows)
+            return frame_matrix(s, p, rows)
+
+        monkeypatch.setattr(synthesis, "frame_matrix", counted)
+        for name, p in sorted(PRESETS.items()):
+            calls.clear()
+            _march(p.model(), preset_data(p), p.grid.with_resolution(n, n), p.f0, transposed)
+            assert calls == [(3,), (0, 1), (2,)], name
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("slot, text, grid, expect", [
@@ -281,10 +307,17 @@ class TestLatticeMarchAgainstOracle:
         (0, "tau/u + 1/(v-0.5) + 2/(v+0.75)", off_centre(BASIC.grid, v0=-0.5), "position 9"),
         # only behind fails, while the longer ahead direction marches on
         (0, "tau/u + 1/(v+0.75)", off_centre(BASIC.grid, v0=-0.5), "position 9"),
+        # the base line fails at a midpoint (u, v) = (1.8125, 0), or (1, 0.625) if
+        # transposed, which no crossing line reads; crossing lines fail at their
+        # first step's midpoint, (2, 0.125) or (1.0625, 1), ahead of the base
+        # line's bad row in marching order: the base line's error stands
+        (0, "tau/u + 1/(((u-1.8125)^2+v^2)*((u-1)^2+(v-0.625)^2))"
+            " + 2/(((u-2)^2+(v-0.125)^2)*((u-1.0625)^2+(v-1)^2))", 9, "position 9"),
     ], ids=["u-node", "u-mid", "v-node", "v-mid-ahead", "v-mid-behind", "skewed-ahead",
             "skewed-behind", "stage-order", "row-order", "blow-up", "psi2-pole", "z-blow-up",
             "blow-up-then-pole", "pole-then-blow-up", "both-poles",
-            "behind-pole-ahead-blow-up", "both-poles-off-centre", "behind-pole-off-centre"])
+            "behind-pole-ahead-blow-up", "both-poles-off-centre", "behind-pole-off-centre",
+            "base-line-before-crossing-lines"])
     def test_failures_identical(self, slot, text, grid, expect, transposed):
         texts = list(BASIC.psi_texts)
         texts[slot] = text
@@ -330,12 +363,13 @@ class TestLatticeMarchAgainstOracle:
         assert isinstance(moved, bytes) and moved != genuine
 
     def test_transient_memory_stays_flat(self):
-        # one march at 129^2 peaks at about 8.3 MB: psi at the four stages of
-        # every step and the stage points take about 2 MB each, and FRAME_POINTS
-        # bounds a frame call's rows and its product with psi to about 1 MB each;
-        # a march that keeps the psi lattice's values until it returns peaks at
-        # about 9.6 MB, and one that builds the full 4x4 frame of every stage and
-        # applies it stage by stage at about 11.6 MB
+        # one march at 129^2 peaks at about 8.2 MB: psi at the four stages of
+        # every step of both sweeps and the stage points take about 2.1 MB
+        # each, the x and y level's stages 1.1 MB, and FRAME_POINTS bounds a
+        # frame call's rows and its product with psi to about 1 MB each; a
+        # march that keeps the psi lattice's values until it returns peaks at
+        # about 9.5 MB, and one that keeps the lattice's u and v parts at
+        # about 8.7 MB
         grid = BASIC.grid.with_resolution(129, 129)
         tracemalloc.start()
         try:

@@ -38,6 +38,14 @@ class TestCausalCharacter:
         assert causal_character(-2.0, 0.0, 2.0) == "timelike"
         assert causal_character(0.0, 0.0, 0.0) == "degenerate"
 
+    @pytest.mark.parametrize("E, F, G", [
+        (np.nan, 0.0, 1.0), (1.0, np.nan, 1.0), (-1.0, 0.0, np.nan),
+        (np.inf, 0.0, 1.0), (1.0, -np.inf, 1.0), (-np.inf, 0.0, np.inf),
+    ])
+    def test_non_finite_form_is_undefined(self, E, F, G):
+        # NaN fails both the band test and det < 0, which reads spacelike
+        assert causal_character(E, F, G) == "undefined"
+
     def test_band_scales_with_magnitude(self):
         # det is tiny relative to E, G: still inside the degeneracy band
         assert causal_character(1e4, 0.0, 1e-14) == "degenerate"
@@ -371,6 +379,20 @@ class TestNonFinite:
         assert any("tension" in f for f in failures)
         assert np.isnan(report.density_gap)
         assert any("density" in f for f in failures)
+
+    def test_nan_node_labelled_undefined(self, tmp_path):
+        # the NaN node and its four neighbours, whose central differences read it
+        mesh = axis_mesh(9)
+        mesh.nodes[4, 5, 3] = np.nan
+        report = verify_mesh(S41, mesh)
+        hit = {(4, 5), (3, 5), (5, 5), (4, 4), (4, 6)}
+        chars = report.characters
+        assert {ij for ij in np.ndindex(chars.shape) if chars[ij] == "undefined"} == hit
+        assert set(chars[1:-1, 1:-1].ravel()) == {"timelike", "undefined"}
+        assert report.interior_character == "mixed" and not report.passed
+        report.to_csv(tmp_path / "verification.csv")
+        row = (tmp_path / "verification.csv").read_text().splitlines()[1 + 4 * 9 + 5]
+        assert row == "1.5,0.25,nan,nan,nan,undefined,nan"
 
 
 class TestIndependence:
