@@ -237,12 +237,16 @@ def cmd_export(args) -> int:
     with open(out, "w") as fh:
         fh.write(f"# projection {','.join(axes)}; vertex w holds coordinate "
                  f"{'xyzt'[scalar_idx]}\n")
-        for row in mesh.nodes:
-            fh.write(("v {} {} {} {}\n" * g.nv).format(*float_text(row[:, idx + [scalar_idx]])))
-        for i in range(g.nu - 1):
-            a = np.arange(i * g.nv + 1, (i + 1) * g.nv)  # 1-based first corners of row i's quads
-            corners = np.stack([a, a + g.nv, a + g.nv + 1, a + 1], axis=-1)
-            fh.write(("f {} {} {} {}\n" * (g.nv - 1)).format(*corners.ravel().tolist()))
+        # each distinct value formatted once; the text joined one grid row at a time
+        text = float_text(mesh.nodes[..., idx + [scalar_idx]])
+        row = 4 * g.nv
+        for k in range(0, len(text), row):
+            fh.write(("v {} {} {} {}\n" * g.nv).format(*text[k:k + row]))
+        # 1-based first corners of every quad, grid row after grid row
+        a = np.arange(1, g.nu * g.nv + 1).reshape(g.nu, g.nv)[:-1, :-1, None]
+        corners = (a + np.array([0, g.nv, g.nv + 1, 1])).reshape(g.nu - 1, -1).tolist()
+        for quads in corners:
+            fh.write(("f {} {} {} {}\n" * (g.nv - 1)).format(*quads))
     print(f"obj written to {out} ({g.nu * g.nv} vertices, {(g.nu - 1) * (g.nv - 1)} quads)")
     return EXIT_PASS
 

@@ -9,6 +9,7 @@ every file drmin writes, and the one rule and layout of a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -16,6 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Kind
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -51,15 +57,16 @@ class DomainGrid:
         if not (self.u_min <= self.u0 <= self.u_max and self.v_min <= self.v0 <= self.v_max):
             raise ValueError("base point outside the rectangle")
 
-    @property
+    # built once per grid and shared by every caller, hence read-only
+    @functools.cached_property
     def u_nodes(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.nu)
+        return _read_only(np.linspace(self.u_min, self.u_max, self.nu))
 
-    @property
+    @functools.cached_property
     def v_nodes(self) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, self.nv)
+        return _read_only(np.linspace(self.v_min, self.v_max, self.nv))
 
-    @property
+    @functools.cached_property
     def base_index(self) -> tuple[int, int]:
         i0 = int(np.argmin(np.abs(self.u_nodes - self.u0)))
         j0 = int(np.argmin(np.abs(self.v_nodes - self.v0)))
@@ -76,28 +83,35 @@ class DomainGrid:
 
 
 def float_text(values) -> list[str]:
-    """The text of every float drmin writes, row-major: repr of the Python float."""
-    return list(map(repr, np.ravel(np.asarray(values, dtype=float)).tolist()))
+    """The text of every float drmin writes, row-major: repr of the Python float.
+
+    Each distinct bit pattern is formatted once and its text shared by every
+    place it occurs.  The key is the bit pattern, not float equality, so
+    -0.0 keeps its sign beside 0.0; NaNs of any payload all read 'nan'.
+    """
+    a = np.ravel(np.asarray(values, dtype=float))
+    bits, where = np.unique(a.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[where].tolist()
 
 
 def write_node_table(path, grid: DomainGrid, columns: dict, preamble: str = "") -> None:
     """Write one CSV row per grid node, in row-major order: u, v, then columns.
 
     columns maps header names to (nu, nv) arrays: floats are written through
-    float_text, object arrays of strings as they are.  Rows end in CRLF after
-    the preamble; the text is built one grid row at a time, never for the
-    whole file.
+    float_text, one call per column, so each distinct value of a column is
+    formatted once; object arrays of strings are written as they are.  Rows
+    end in CRLF after the preamble; the text is joined one grid row at a
+    time, never for the whole file.
     """
     u_text, v_text = float_text(grid.u_nodes), float_text(grid.v_nodes)
+    cells = [[u for u in u_text for _ in v_text], v_text * grid.nu]
+    cells += [c.ravel().tolist() if c.dtype == object else float_text(c)
+              for c in columns.values()]
+    nodes = map(",".join, zip(*cells))  # row-major, joined as each grid row is written
     with open(path, "w", newline="") as fh:
         fh.write(preamble + ",".join(["u", "v", *columns]) + "\r\n")
-        for i, u in enumerate(u_text):
-            cells = [
-                c[i].tolist() if c.dtype == object else float_text(c[i]) for c in columns.values()
-            ]
-            fh.write("".join(
-                f"{u},{v},{','.join(node)}\r\n" for v, node in zip(v_text, zip(*cells))
-            ))
+        for _ in range(grid.nu):
+            fh.write("\r\n".join(itertools.islice(nodes, grid.nv)) + "\r\n")
 
 
 def exceeds(name: str, value: float, limit: float) -> str | None:
@@ -165,36 +179,38 @@ class SurfaceMesh:
         position to within 1e-3 of the grid spacing (to_csv writes them
         exactly; the margin admits hand-typed decimals).
         """
-        meta = {}
-
-        def data_lines(fh):
-            for line in fh:
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition(":")
-                    meta[key.strip()] = val.strip()
-                elif line.strip():
-                    yield line
-
         with open(path) as fh:
-            lines = data_lines(fh)
-            header = next(lines, "").strip().split(",")
-            if tuple(header) != MESH_CSV_COLUMNS:
-                raise ValueError(f"unexpected mesh columns {header}")
-            for req in ("space", "c", "algebra", "grid"):
-                if req not in meta:
-                    raise ValueError(f"mesh file missing '{req}' metadata")
-            gparts = meta["grid"].split()
-            if len(gparts) != 8:
-                raise ValueError(f"grid metadata needs 8 fields, got {len(gparts)}")
-            grid = DomainGrid(
-                *map(float, gparts[:4]), *map(int, gparts[4:6]), *map(float, gparts[6:])
-            )
-            n = grid.nu * grid.nv
-            # the rows stream into one array; np.loadtxt warns on empty input
-            first = next(lines, None)
-            data = np.empty((0, len(MESH_CSV_COLUMNS))) if first is None else np.loadtxt(
-                itertools.chain([first], lines), delimiter=",", ndmin=2, max_rows=n + 1
-            )
+            # universal newlines leave only "\n"; splitlines would also break
+            # at form feeds and the other Unicode line boundaries
+            lines = fh.read().split("\n")
+
+        def metadata(part):
+            pairs = (line[1:].partition(":") for line in part if line.startswith("#"))
+            return {key.strip(): val.strip() for key, _, val in pairs}
+
+        start = next((k for k, line in enumerate(lines)
+                      if line.strip() and not line.startswith("#")), len(lines))
+        header = lines[start].strip().split(",") if start < len(lines) else [""]
+        if tuple(header) != MESH_CSV_COLUMNS:
+            raise ValueError(f"unexpected mesh columns {header}")
+        head = metadata(lines[:start])  # the grid's metadata must come before the header
+        for req in ("space", "c", "algebra", "grid"):
+            if req not in head:
+                raise ValueError(f"mesh file missing '{req}' metadata")
+        gparts = head["grid"].split()
+        if len(gparts) != 8:
+            raise ValueError(f"grid metadata needs 8 fields, got {len(gparts)}")
+        grid = DomainGrid(
+            *map(float, gparts[:4]), *map(int, gparts[4:6]), *map(float, gparts[6:])
+        )
+        n = grid.nu * grid.nv
+        tail = lines[start + 1:]
+        meta = {**head, **metadata(tail)}
+        rows = [line for line in tail if line.strip() and not line.startswith("#")]
+        # np.loadtxt warns on empty input
+        data = np.empty((0, len(MESH_CSV_COLUMNS))) if not rows else np.loadtxt(
+            rows, delimiter=",", ndmin=2, max_rows=n + 1
+        )
         if len(data) > n:
             raise ValueError("mesh file has more rows than the grid admits")
         if len(data) < n:

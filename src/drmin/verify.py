@@ -34,8 +34,15 @@ def causal_character(E, F, G):
     A form with a NaN or infinite entry is 'undefined'.  E, F, G may be
     arrays; then the result is an object array of labels of the same shape.
     """
+    # E, F, G scaled by the power of two of their largest magnitude, which is
+    # exact: the test is that of the unscaled form, but det and the band no
+    # longer overflow.  The band's 1, scaled, is inf for a form below about
+    # 2**-512, and every such form is degenerate.
+    _, top = np.frexp(np.maximum(np.maximum(np.abs(E), np.abs(F)), np.abs(G)))
+    E, F, G = (np.ldexp(x, -top) for x in (E, F, G))
     det = E * G - F * F
-    band = DEGENERACY_BAND_SCALE * (1.0 + E * E + G * G)
+    with np.errstate(over="ignore"):
+        band = DEGENERACY_BAND_SCALE * (np.ldexp(1.0, -2 * top) + E * E + G * G)
     out = np.where(np.abs(det) <= band, "degenerate", np.where(det < 0.0, "timelike", "spacelike"))
     out = np.where(np.isfinite(E) & np.isfinite(F) & np.isfinite(G), out, "undefined")
     return out.astype(object) if out.ndim else str(out)

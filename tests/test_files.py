@@ -2,11 +2,13 @@
 
 The oracle writers below are the per-node loops that wrote
 validation.csv, mesh.csv and verification.csv before every file went
-through mesh.write_node_table; the array writer must give the
-same bytes.
+through mesh.write_node_table, and the per-row loop of the OBJ export;
+the array writers must give the same bytes.
 """
 
 import csv
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from drmin.algebra import Kind
 from drmin.cli import EXIT_MATH_FAILURE, EXIT_PASS, main
 from drmin.expr import WeierstrassData
-from drmin.mesh import MESH_CSV_COLUMNS, DomainGrid, SurfaceMesh
+from drmin.mesh import MESH_CSV_COLUMNS, DomainGrid, SurfaceMesh, float_text
 from drmin.presets import PRESETS
 from drmin.spaces import SpaceKind, SpaceModel
 from drmin.synthesis import synthesize
@@ -76,6 +78,23 @@ def oracle_verification_csv(report, path):
                 )
 
 
+def oracle_obj(mesh, axes, path):
+    """The OBJ writer's per-row loop, one repr per value."""
+    g = mesh.grid
+    idx = ["xyzt".index(a) for a in axes]
+    scalar_idx = ({0, 1, 2, 3} - set(idx)).pop()
+    with open(path, "w") as fh:
+        fh.write(f"# projection {','.join(axes)}; vertex w holds coordinate "
+                 f"{'xyzt'[scalar_idx]}\n")
+        for row in mesh.nodes:
+            texts = [repr(float(x)) for x in row[:, idx + [scalar_idx]].ravel()]
+            fh.write(("v {} {} {} {}\n" * g.nv).format(*texts))
+        for i in range(g.nu - 1):
+            a = np.arange(i * g.nv + 1, (i + 1) * g.nv)  # 1-based first corners of row i's quads
+            corners = np.stack([a, a + g.nv, a + g.nv + 1, a + 1], axis=-1)
+            fh.write(("f {} {} {} {}\n" * (g.nv - 1)).format(*corners.ravel().tolist()))
+
+
 def assert_same_bytes(tmp_path, obj, oracle):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     obj.to_csv(new)
@@ -114,6 +133,99 @@ class TestSameBytes:
         mesh.to_csv(tmp_path / "mesh.csv")
         back = SurfaceMesh.from_csv(tmp_path / "mesh.csv")
         assert np.array_equal(back.nodes, mesh.nodes, equal_nan=True)
+
+
+# floats a dedupe by value would get wrong: signed zeros, NaNs of both signs and
+# another payload, infinities, the smallest subnormal, and the reprs next to the
+# switches between positional and exponent text
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+EDGE_VALUES = np.array([0.0, -0.0, np.nan, -np.nan, NAN_PAYLOAD, np.inf, -np.inf, 5e-324,
+                        1e16, 9999999999999998.0, 1e-05, 0.0001])
+EDGE_GRID = DomainGrid(1.0, 2.0, -1.0, 1.0, 5, 7, 1.0, 0.0)
+
+
+def edge_field(shift, shape=(5, 7)):
+    """EDGE_VALUES over the grid, repeating along each grid row, shifted per column."""
+    return np.roll(np.resize(EDGE_VALUES, np.prod(shape)), shift).reshape(shape)
+
+
+class TestDistinctValues:
+    """Each distinct bit pattern is formatted once, and no two share a text they differ in."""
+
+    def test_float_text_is_repr(self):
+        assert np.signbit(EDGE_VALUES[[1, 3]]).all()
+        assert not np.signbit(EDGE_VALUES[[0, 2, 4]]).any()
+        values = edge_field(3)
+        texts = float_text(values)
+        assert texts == [repr(float(x)) for x in values.ravel()]
+        assert texts.count("-0.0") == 3 and texts.count("0.0") == 3 and texts.count("nan") == 9
+        # a view that is not contiguous, a scalar, an empty input
+        assert float_text(values.T) == [repr(float(x)) for x in values.T.ravel()]
+        assert float_text(-0.0) == ["-0.0"] and float_text(np.float64(1e16)) == ["1e+16"]
+        assert float_text([]) == []
+
+    def test_mesh(self, tmp_path):
+        nodes = np.stack([edge_field(k) for k in range(4)], axis=-1)
+        mesh = SurfaceMesh(EDGE_GRID, nodes, Kind.PARA, "S41", -0.0, {"f0": "0.0 -0.0 0.0 1.0"})
+        assert_same_bytes(tmp_path, mesh, oracle_mesh_csv)
+        mesh.to_csv(tmp_path / "mesh.csv")
+        back = SurfaceMesh.from_csv(tmp_path / "mesh.csv")
+        assert np.array_equal(back.nodes, nodes, equal_nan=True)
+        assert (np.signbit(back.nodes) == np.signbit(nodes))[~np.isnan(nodes)].all()
+        assert str(back.c) == "-0.0"
+
+    def test_validation_report(self, tmp_path):
+        report = dataclasses.replace(
+            validate(S41, AXIS_PARA, EDGE_GRID),
+            cond_i=edge_field(0), cond_ii_re=edge_field(5), cond_ii_im=edge_field(7),
+            residual_re=np.stack([edge_field(k) for k in range(4)]),
+            residual_im=np.stack([edge_field(-k) for k in range(4)]),
+        )
+        assert_same_bytes(tmp_path, report, oracle_validation_csv)
+
+    def test_verification_report(self, tmp_path):
+        mesh = synthesize(S41, AXIS_PARA, EDGE_GRID)
+        pullbacks = np.stack([edge_field(k) for k in (0, 1, 12)], axis=-1)
+        report = dataclasses.replace(verify_mesh(S41, mesh, AXIS_PARA), pullbacks=pullbacks)
+        assert_same_bytes(tmp_path, report, oracle_verification_csv)
+
+
+class TestObjWriter:
+    @pytest.mark.parametrize("shape", [(5, 13), (13, 5)], ids=["5x13", "13x5"])
+    @pytest.mark.parametrize("axes", ["x,y,t", "t,z,x"])
+    def test_same_bytes(self, tmp_path, capsys, shape, axes):
+        # on a grid that is not square a transposed face index shows
+        mesh = synthesize(S41, AXIS_PARA, DomainGrid(1.0, 2.0, -1.0, 1.0, *shape, 1.0, 0.0))
+        mesh.nodes[1, 2, 0], mesh.nodes[2, 1, 0] = -0.0, 0.0
+        mesh.to_csv(tmp_path / "mesh.csv")
+        argv = ["export", str(tmp_path / "mesh.csv"), "--projection", axes,
+                "--out", str(tmp_path / "new.obj")]
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out == (
+            f"obj written to {tmp_path / 'new.obj'} ({shape[0] * shape[1]} vertices, "
+            f"{(shape[0] - 1) * (shape[1] - 1)} quads)\n"
+        )
+        oracle_obj(mesh, axes.split(","), tmp_path / "old.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_report_writers_stay_small(tmp_path, name):
+    # the text is joined one grid row at a time: a writer that joins the
+    # whole file in one string peaks at 6.0-7.6 MB here
+    p = PRESETS[name]
+    w = WeierstrassData.from_strings(list(p.psi_texts), p.algebra)
+    grid = p.grid.with_resolution(129, 129)
+    report = validate(p.model(), w, grid)
+    check = verify_mesh(p.model(), synthesize(p.model(), w, grid, p.f0, force=True), w)
+    for obj in (report, check):
+        tracemalloc.start()
+        try:
+            obj.to_csv(tmp_path / "out.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"{type(obj).__name__}.to_csv peaked at {peak} bytes"
 
 
 @pytest.fixture
@@ -195,3 +307,56 @@ class TestMeshNodeColumns:
         with pytest.raises(ValueError) as info:
             SurfaceMesh.from_csv(tmp_path / "edited.csv")
         assert named in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# space: S41\n# c: 1.0\n"],
+                         ids=["empty", "blank", "comments-only"])
+def test_mesh_without_header_refused(tmp_path, text):
+    (tmp_path / "mesh.csv").write_text(text)
+    with pytest.raises(ValueError, match=r"^unexpected mesh columns \[''\]$"):
+        SurfaceMesh.from_csv(tmp_path / "mesh.csv")
+
+
+class TestMeshNodeMargin:
+    """from_csv's margin is 1e-3 of the spacing on each axis, its edge included."""
+
+    GRID = DomainGrid(0.0, 1.0, 0.0, 1.0, 5, 3, 0.0, 0.0)  # spacings 0.25 and 0.5
+    MARGIN = {"u": 1e-3 * 0.25, "v": 1e-3 * 0.5}
+
+    def load(self, tmp_path, row, axis, value):
+        """Write a mesh on GRID, set the axis column of one data row to value and read it."""
+        mesh = SurfaceMesh(self.GRID, np.zeros((5, 3, 4)), Kind.PARA, "S41", 1.0)
+        mesh.to_csv(tmp_path / "mesh.csv")
+        lines = (tmp_path / "mesh.csv").read_text().splitlines()
+        k = lines.index(",".join(MESH_CSV_COLUMNS)) + row
+        cells = lines[k].split(",")
+        cells["uv".index(axis)] = repr(value)
+        lines[k] = ",".join(cells)
+        (tmp_path / "edited.csv").write_text("\n".join(lines) + "\n")
+        return SurfaceMesh.from_csv(tmp_path / "edited.csv")
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    @pytest.mark.parametrize("toward", [0.0, None], ids=["inside", "at-edge"])
+    def test_within_margin_loads(self, tmp_path, axis, toward):
+        # row 1 is the node (0, 0), so the offset is the cell's value, exactly
+        margin = self.MARGIN[axis]
+        value = margin if toward is None else np.nextafter(margin, toward)
+        assert self.load(tmp_path, 1, axis, float(value)).grid == self.GRID
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_just_outside_refused(self, tmp_path, axis):
+        value = float(np.nextafter(self.MARGIN[axis], 1.0))
+        uv = (repr(value), "0.0") if axis == "u" else ("0.0", repr(value))
+        with pytest.raises(ValueError) as info:
+            self.load(tmp_path, 1, axis, value)
+        assert str(info.value) == (
+            f"mesh row 1 has (u, v) = ({', '.join(uv)}) where the grid node is (0.0, 0.0)"
+        )
+
+    def test_row_number_past_the_first_grid_row(self, tmp_path):
+        # data row 8 is the node (i, j) = (2, 1): u = 0.5, v = 0.5
+        with pytest.raises(ValueError) as info:
+            self.load(tmp_path, 8, "v", 0.6)
+        assert str(info.value) == (
+            "mesh row 8 has (u, v) = (0.5, 0.6) where the grid node is (0.5, 0.5)"
+        )

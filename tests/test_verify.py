@@ -51,6 +51,46 @@ class TestCausalCharacter:
         assert causal_character(1e4, 0.0, 1e-14) == "degenerate"
         assert causal_character(1.0, 0.0, 1e-4) == "spacelike"
 
+    @pytest.mark.parametrize("E, F, G, char", [
+        (1e200, 1e200, 1e200, "degenerate"),  # EG - F^2 = 0, though EG overflows
+        (-1e200, 0.0, 1e200, "timelike"),  # det = -1e400, band = 1e-10 * 2e400
+        (1e200, 0.0, 1e200, "spacelike"),
+        (1e200, 2e200, 1e200, "timelike"),  # det = -3e400
+        (1e-200, 0.0, 1e-200, "degenerate"),  # det = 1e-400 inside a band of at least 1e-10
+        (1e-300, 0.0, 1e300, "degenerate"),  # det = 1 against a band of 1e590
+    ])
+    def test_products_that_overflow(self, E, F, G, char):
+        assert causal_character(E, F, G) == char
+
+    # sqrt(2e-10) rounded: F * F equals the band 1e-10 * (1 + 1*1 + 0*0) exactly
+    EDGE_F = 1.4142135623730951e-05
+
+    def test_band_edge_belongs_to_the_band(self):
+        assert -(self.EDGE_F * self.EDGE_F) == -1e-10 * (1.0 + 1.0 * 1.0 + 0.0 * 0.0)
+        assert causal_character(1.0, self.EDGE_F, 0.0) == "degenerate"
+        assert causal_character(1.0, np.nextafter(self.EDGE_F, 0.0), 0.0) == "degenerate"
+        assert causal_character(1.0, np.nextafter(self.EDGE_F, 1.0), 0.0) == "timelike"
+
+    @pytest.mark.parametrize("scale, char", [(1.0 - 1e-9, "degenerate"), (1.0 + 1e-9, "spacelike")])
+    def test_band_edge_spacelike(self, scale, char):
+        # det = 1e3 * g against a band of 1e-10 * (1 + 1e6 + g^2): the edge at g = 1.000001e-7
+        assert causal_character(1e3, 0.0, 1.000001e-7 * scale) == char
+
+    @pytest.mark.parametrize("scale, char", [(1.0 - 1e-9, "degenerate"), (1.0 + 1e-9, "timelike")])
+    def test_band_edge_timelike(self, scale, char):
+        assert causal_character(-1.000001e-7 * scale, 0.0, 1e3) == char
+
+    def test_det_at_and_just_below_zero(self):
+        assert causal_character(2.0, 2.0, 2.0) == "degenerate"  # det = 0
+        assert causal_character(2.0, 1.0, 0.25) == "timelike"  # det = 0.5 - 1; E/G - F*F = 7
+        assert causal_character(1.0, 1e-4, 0.0) == "timelike"  # det = -1e-8, outside 2e-10
+
+    def test_arrays_match_the_scalars(self):
+        E, F, G = np.array([1e200, -2.0, 1.0]), np.array([1e200, 0.0, self.EDGE_F]), np.zeros(3)
+        G[:2] = 1e200, 2.0
+        got = causal_character(E, F, G)
+        assert got.dtype == object and got.tolist() == ["degenerate", "timelike", "degenerate"]
+
 
 class TestPullback:
     def test_axis_first_fundamental_form(self):

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from drmin.algebra import Kind, Scalar
@@ -47,6 +48,23 @@ class TestGrid:
             DomainGrid(0, 1, 0, 1, 1, 10, 0, 0)
         with pytest.raises(ValueError):
             DomainGrid(0, 1, 0, 1, 10, 10, 2.0, 0)
+
+    @pytest.mark.parametrize("bounds", [(1.5, 1.5, 0.0, 1.0), (1.0, 2.0, 0.5, 0.5)],
+                             ids=["u", "v"])
+    def test_zero_width_rejected(self, bounds):
+        with pytest.raises(ValueError, match="degenerate rectangle"):
+            DomainGrid(*bounds, 5, 5, bounds[0], bounds[2])
+
+    def test_nodes_built_once_and_read_only(self):
+        g = DomainGrid(1, 2, -1, 1, 11, 21, 1.33, 0.05)
+        assert g.u_nodes is g.u_nodes and g.v_nodes is g.v_nodes
+        assert g.base_index is g.base_index
+        for nodes in (g.u_nodes, g.v_nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 7.0
+        assert g.u_nodes[0] == 1.0 and g.v_nodes[0] == -1.0
+        assert g.u_nodes.tobytes() == np.linspace(1, 2, 11).tobytes()
+        assert g == DomainGrid(1, 2, -1, 1, 11, 21, 1.33, 0.05)
 
     def test_base_point_snaps_to_node(self):
         g = DomainGrid(1, 2, -1, 1, 11, 21, 1.33, 0.05)
