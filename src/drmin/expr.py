@@ -364,7 +364,9 @@ class GridEval:
 
     values: list[tuple[np.ndarray, np.ndarray]]
     bad: np.ndarray
-    first_errors: dict[int, EvalError]  # flat node index -> the EvalError evaluate raises there
+    # flat node index -> the EvalError evaluate raises there; nodes whose
+    # failing operands have the same bits share one error object
+    first_errors: dict[int, EvalError]
 
     def errors(self) -> list[tuple[tuple[int, ...], EvalError]]:
         """(node index, EvalError) of every bad node, in row-major order."""
@@ -374,7 +376,12 @@ class GridEval:
     def raise_first(self) -> None:
         """Raise the EvalError of the first bad node in row-major order, if any."""
         if self.bad.any():
-            raise self.first_errors[int(np.flatnonzero(self.bad)[0])]
+            try:
+                raise self.first_errors[int(np.flatnonzero(self.bad)[0])]
+            finally:
+                # the error's traceback holds this frame: were self still in
+                # it, error, traceback and self would form a reference cycle
+                self = None
 
 
 def evaluate_grid(trees, u, v, kind: Kind) -> GridEval:
@@ -387,7 +394,9 @@ def evaluate_grid(trees, u, v, kind: Kind) -> GridEval:
     where an operation may fail (a divisor on the zero or null-cone
     test, a non-finite argument or value of a function call) are re-run
     through the per-node operation, which gives the verdict and the
-    message.  Never raises for a failed node.
+    message, once per distinct bit pattern of the operands: suspect nodes
+    with equal operands share one outcome, so their EvalError is one
+    object.  Never raises for a failed node.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     ev = _GridEvaluator(u.ravel(), v.ravel(), kind)
@@ -447,17 +456,34 @@ class _GridEvaluator:
         return self.settle(e, [a], out, ~np.isfinite([*a, *out]).all(axis=0))
 
     def settle(self, e: Expr, args, out, fails: np.ndarray):
-        # the per-node operation decides each suspect node: it either
-        # raises (the node goes bad with that error) or gives the value
-        for k in np.flatnonzero(fails & ~self.bad) if fails.any() else ():
-            try:
-                val = _apply(e, [Scalar(re[k], im[k], self.kind) for re, im in args], self.kind)
-            except EvalError as exc:
-                # keep the error, not its frames: a traceback would tie
-                # this evaluator and all its arrays into a reference cycle
-                exc.__traceback__ = exc.cause.__traceback__ = None
+        """Decide the suspect nodes (fails, not yet bad) by the per-node operation.
+
+        The operation either raises (the node goes bad with that error) or
+        gives the value.  It runs once per distinct operand tuple, keyed on
+        the bits of the re and im of every argument (so -0.0 stays apart
+        from 0.0), and every suspect node with those bits shares its
+        outcome: one EvalError object, or one value.
+        """
+        if not fails.any():
+            return out
+        suspect = np.flatnonzero(fails & ~self.bad)
+        keys = zip(*(a[suspect].view(np.int64).tolist() for pair in args for a in pair))
+        outcomes = {}  # operand bits -> EvalError or Scalar; lives for this call only
+        for k, key in zip(suspect.tolist(), keys):
+            val = outcomes.get(key)
+            if val is None:
+                try:
+                    val = _apply(e, [Scalar(re[k], im[k], self.kind) for re, im in args],
+                                 self.kind)
+                except EvalError as exc:
+                    # keep the error, not its frames: a traceback would tie
+                    # this evaluator and all its arrays into a reference cycle
+                    exc.__traceback__ = exc.cause.__traceback__ = None
+                    val = exc
+                outcomes[key] = val
+            if isinstance(val, EvalError):
                 self.bad[k] = True
-                self.first_errors[int(k)] = exc
+                self.first_errors[k] = val
             else:
                 out[0][k], out[1][k] = val.re, val.im
         return out

@@ -132,6 +132,18 @@ def report_lines(title: str, rows: dict[str, str], failures: list[str]) -> list[
 MESH_CSV_COLUMNS = ("u", "v", "x", "y", "z", "t")
 
 
+def _bad_rows(rows):
+    """What is wrong with each (file line number, text) row np.loadtxt cannot read."""
+    for k, line in rows:
+        try:
+            width = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+        except ValueError:
+            yield f"mesh line {k} has a cell that is not a number: {line!r}"
+            continue
+        if width != len(MESH_CSV_COLUMNS):
+            yield f"mesh line {k} needs {len(MESH_CSV_COLUMNS)} fields, got {width}: {line!r}"
+
+
 @dataclass
 class SurfaceMesh:
     grid: DomainGrid
@@ -185,11 +197,20 @@ class SurfaceMesh:
             lines = fh.read().split("\n")
 
         def metadata(part):
-            pairs = (line[1:].partition(":") for line in part if line.startswith("#"))
-            return {key.strip(): val.strip() for key, _, val in pairs}
+            meta = {}
+            for line in part:
+                if not line.startswith("#"):
+                    continue
+                key, _, val = (x.strip() for x in line[1:].partition(":"))
+                if key in meta:
+                    raise ValueError(f"mesh file repeats metadata key {key!r}")
+                meta[key] = val
+            return meta
 
-        start = next((k for k, line in enumerate(lines)
-                      if line.strip() and not line.startswith("#")), len(lines))
+        def is_row(line):  # the header and the data rows
+            return line.strip() and not line.startswith("#")
+
+        start = next((k for k, line in enumerate(lines) if is_row(line)), len(lines))
         header = lines[start].strip().split(",") if start < len(lines) else [""]
         if tuple(header) != MESH_CSV_COLUMNS:
             raise ValueError(f"unexpected mesh columns {header}")
@@ -204,13 +225,17 @@ class SurfaceMesh:
             *map(float, gparts[:4]), *map(int, gparts[4:6]), *map(float, gparts[6:])
         )
         n = grid.nu * grid.nv
+        meta = metadata(lines)  # the header line is no metadata line
         tail = lines[start + 1:]
-        meta = {**head, **metadata(tail)}
-        rows = [line for line in tail if line.strip() and not line.startswith("#")]
-        # np.loadtxt warns on empty input
-        data = np.empty((0, len(MESH_CSV_COLUMNS))) if not rows else np.loadtxt(
-            rows, delimiter=",", ndmin=2, max_rows=n + 1
-        )
+        rows = [line for line in tail if is_row(line)]
+        try:
+            # np.loadtxt warns on empty input
+            data = np.empty((0, len(MESH_CSV_COLUMNS))) if not rows else np.loadtxt(
+                rows, delimiter=",", ndmin=2, max_rows=n + 1
+            )
+        except ValueError as exc:
+            numbered = ((k, line) for k, line in enumerate(tail, start + 2) if is_row(line))
+            raise ValueError(next(_bad_rows(numbered), str(exc))) from None
         if len(data) > n:
             raise ValueError("mesh file has more rows than the grid admits")
         if len(data) < n:

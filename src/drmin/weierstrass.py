@@ -229,6 +229,8 @@ def validate(
     def masked(field):
         return np.where(ev.bad, 0.0, field)
 
+    u_list, v_list = u_nodes.tolist(), v_nodes.tolist()
+
     return ValidationReport(
         grid=grid,
         kind=w.kind,
@@ -240,5 +242,5 @@ def validate(
         residual_im=masked(np.stack([r[1] for r in res])),
         node_ok=~ev.bad,
         tolerances=tolerances,
-        errors=[(float(u_nodes[i]), float(v_nodes[j]), str(exc)) for (i, j), exc in ev.errors()],
+        errors=[(u_list[i], v_list[j], str(exc)) for (i, j), exc in ev.errors()],
     )

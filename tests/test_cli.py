@@ -69,6 +69,13 @@ class TestConfig:
         assert cfg.psi_texts[0] == "tau/u"
         assert cfg.f0.y == 2.0
 
+    def test_c_defaults_to_one(self, tmp_path):
+        path = tmp_path / "no_c.ini"
+        path.write_text(GOOD_INI.replace("c = 1.0\n", ""))
+        assert "c =" not in path.read_text()
+        cfg = load_config(path)
+        assert cfg.c == 1.0 and cfg.model().c == 1.0
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(GOOD_INI.replace("c = 1.0", "c = 1.0\nspeed = 9"))

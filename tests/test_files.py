@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from drmin.algebra import Kind
-from drmin.cli import EXIT_MATH_FAILURE, EXIT_PASS, main
+from drmin.cli import EXIT_INPUT_ERROR, EXIT_MATH_FAILURE, EXIT_PASS, main
 from drmin.expr import WeierstrassData
 from drmin.mesh import MESH_CSV_COLUMNS, DomainGrid, SurfaceMesh, float_text
 from drmin.presets import PRESETS
@@ -360,3 +360,52 @@ class TestMeshNodeMargin:
         assert str(info.value) == (
             "mesh row 8 has (u, v) = (0.5, 0.6) where the grid node is (0.5, 0.5)"
         )
+
+
+class TestMeshFileFaults:
+    """from_csv refuses repeated metadata and names the file line of a malformed row."""
+
+    GRID = DomainGrid(0.0, 1.0, 0.0, 1.0, 5, 3, 0.0, 0.0)
+
+    def lines(self, tmp_path, provenance=None):
+        mesh = SurfaceMesh(self.GRID, np.zeros((5, 3, 4)), Kind.PARA, "S41", 1.0,
+                           provenance or {})
+        mesh.to_csv(tmp_path / "mesh.csv")
+        return (tmp_path / "mesh.csv").read_text().split("\n")
+
+    def load(self, tmp_path, lines):
+        (tmp_path / "edited.csv").write_text("\n".join(lines))
+        return SurfaceMesh.from_csv(tmp_path / "edited.csv")
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda lines: [*lines[:2], "# c: 3.0", *lines[2:]], "c"),
+        (lambda lines: [*lines, "# c: 2.0"], "c"),
+        (lambda lines: [*lines, "# grid: 1.0 2.0 -1.0 1.0 3 3 1.0 0.0"], "grid"),
+    ], ids=["before-the-header", "after-the-rows", "grid-after-the-rows"])
+    def test_repeated_key_refused(self, tmp_path, edit, key):
+        with pytest.raises(ValueError, match=rf"^mesh file repeats metadata key '{key}'$"):
+            self.load(tmp_path, edit(self.lines(tmp_path)))
+        assert main(["export", str(tmp_path / "edited.csv")]) == EXIT_INPUT_ERROR
+
+    def test_to_csv_writes_each_key_once(self, tmp_path):
+        provenance = {"psi1": "tau/u", "f0": "0.0 2.0 0.0 0.0", "drmin": "0.1.0"}
+        lines = self.lines(tmp_path, provenance)
+        keys = [line[1:].partition(":")[0].strip() for line in lines if line.startswith("#")]
+        assert sorted(keys) == sorted(["space", "c", "algebra", "grid", *provenance])
+        assert self.load(tmp_path, lines).provenance == provenance
+
+    @pytest.mark.parametrize("row, named", [
+        ("1.0,2.0", "needs 6 fields, got 2"),
+        ("0.5,0.0,0.0,zero,0.0,0.0", "has a cell that is not a number"),
+        ("0.5,0.0,0.0,0.0,0.0,0.0,0.0", "needs 6 fields, got 7"),
+    ], ids=["two-fields", "non-numeric-cell", "seven-fields"])
+    def test_malformed_row_names_its_file_line(self, tmp_path, row, named):
+        lines = self.lines(tmp_path)
+        start = lines.index(",".join(MESH_CSV_COLUMNS))
+        # comments and blank lines among the rows: the file line is not the row index
+        lines[start + 2:start + 2] = ["# a note", "", "   "]
+        k = start + 8  # data row 6 of 15, on file line k + 1
+        lines[k] = row
+        with pytest.raises(ValueError) as info:
+            self.load(tmp_path, lines)
+        assert str(info.value) == f"mesh line {k + 1} {named}: {row!r}"

@@ -365,6 +365,48 @@ def test_shared_values_are_read_only():
     assert verify_mesh(s, mesh, w).passed
 
 
+class TestSettleOncePerOperand:
+    """The per-node operation runs once per distinct operand bit pattern."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        calls, apply = [], expr._apply
+
+        def counted(e, args, kind):
+            calls.append(e)
+            return apply(e, args, kind)
+
+        monkeypatch.setattr(expr, "_apply", counted)
+        return calls
+
+    def test_same_failure_everywhere_runs_once(self, applied):
+        ev = evaluate_grid([parse("ln(tau)", Kind.PARA)],
+                           EDGE_GRID.u_nodes[:, None], EDGE_GRID.v_nodes[None, :], Kind.PARA)
+        assert ev.bad.all() and len(applied) == 1
+        errors = [exc for _, exc in ev.errors()]
+        assert all(exc is errors[0] for exc in errors)  # one object, so one text
+        assert str(errors[0]) == (
+            "ln failed (at position 0): paracomplex ln needs re > |im|, got 0.0 + tau*1.0"
+        )
+
+    def test_u_only_operand_runs_once_per_u(self, applied):
+        grid = DomainGrid(-1, 1, -1, 1, 5, 7, 0, 0)
+        ev = evaluate_grid([parse("ln(u*tau)", Kind.PARA)],
+                           grid.u_nodes[:, None], grid.v_nodes[None, :], Kind.PARA)
+        assert ev.bad.all()
+        assert len(applied) == grid.nu  # not nu * nv
+        rows = [{id(exc) for (i, _), exc in ev.errors() if i == row} for row in range(grid.nu)]
+        assert all(len(ids) == 1 for ids in rows) and len(set.union(*rows)) == grid.nu
+
+    def test_zeros_of_either_sign_run_apart(self, applied):
+        u = np.array([0.0, -0.0, 0.0, -0.0])
+        ev = evaluate_grid([parse("1/u", Kind.COMPLEX)], u, 1.0, Kind.COMPLEX)
+        assert ev.bad.all() and len(applied) == 2
+        errors = [exc for _, exc in ev.errors()]
+        assert errors[0] is errors[2] and errors[1] is errors[3]
+        assert errors[0] is not errors[1]
+
+
 def test_failed_nodes_leave_no_reference_cycles():
     # a stored error that kept its traceback would hold the evaluator and
     # every array of the evaluation until the cyclic collector ran
@@ -374,6 +416,14 @@ def test_failed_nodes_leave_no_reference_cycles():
         ev = evaluate_grid([parse("1/(u + tau*u) + exp(1000*v)", Kind.PARA)],
                            EDGE_GRID.u_nodes[:, None], EDGE_GRID.v_nodes[None, :], Kind.PARA)
         assert ev.bad.all()
+        del ev
+        assert gc.collect() == 0
+        # every node shares one error object, which raise_first raises
+        ev = evaluate_grid([parse("ln(tau)", Kind.PARA)],
+                           EDGE_GRID.u_nodes[:, None], EDGE_GRID.v_nodes[None, :], Kind.PARA)
+        assert ev.bad.all() and len({id(exc) for exc in ev.first_errors.values()}) == 1
+        with pytest.raises(EvalError, match="ln failed"):
+            ev.raise_first()
         del ev
         assert gc.collect() == 0
     finally:

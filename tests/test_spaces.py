@@ -45,6 +45,12 @@ def random_models(rng, n):
     return out
 
 
+@pytest.mark.parametrize("kind", list(SpaceKind))
+def test_c_defaults_to_one(kind):
+    assert SpaceModel(kind).c == 1.0
+    assert SpaceModel(kind) == SpaceModel(kind, 1.0)
+
+
 class TestMetric:
     def test_first_kind_origin(self):
         assert np.allclose(metric_at(S41, ORIGIN), np.diag([1, 1, 1, -1]))
