@@ -95,12 +95,6 @@ class Scalar:
             return NotImplemented
         return Scalar(self.re - o.re, self.im - o.im, self.kind)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(o.re - self.re, o.im - self.im, self.kind)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -119,12 +113,6 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         return self * invert(o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * invert(self)
 
     def __neg__(self):
         return Scalar(-self.re, -self.im, self.kind)

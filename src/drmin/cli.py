@@ -143,11 +143,13 @@ def _resolve_config(args) -> RunConfig:
         raise ConfigError("either --config or --preset is required")
     if args.grid:
         try:
-            nu_s, nv_s = args.grid.lower().split("x")
-            grid = cfg.grid.with_resolution(int(nu_s), int(nv_s))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad --grid spec {args.grid!r}; expected NUxNV") from exc
-        cfg = replace(cfg, grid=grid)
+            nu, nv = map(int, args.grid.lower().split("x"))
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid spec {args.grid!r}: expected NUxNV") from exc
+        try:
+            cfg = replace(cfg, grid=cfg.grid.with_resolution(nu, nv))
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid spec {args.grid!r}: {exc}") from exc
     return cfg
 
 

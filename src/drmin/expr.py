@@ -47,13 +47,20 @@ class KindError(ExprError):
 
 
 class EvalError(ExprError):
-    """Evaluation failure, wrapping the underlying algebra error."""
+    """Evaluation failure, wrapping the underlying algebra error.
+
+    Its args are its three parameters, so EvalError(*exc.args) is a copy.
+    """
 
     def __init__(self, message: str, cause: Exception, pos: int = -1):
-        where = f" (at position {pos})" if pos >= 0 else ""
-        super().__init__(f"{message}{where}: {cause}")
+        super().__init__(message, cause, pos)
         self.cause = cause
         self.pos = pos
+
+    def __str__(self):
+        message, cause, pos = self.args
+        where = f" (at position {pos})" if pos >= 0 else ""
+        return f"{message}{where}: {cause}"
 
 
 # -- AST nodes -----------------------------------------------------------
@@ -374,14 +381,15 @@ class GridEval:
         return [(tuple(index), self.first_errors[k]) for index, k in nodes]
 
     def raise_first(self) -> None:
-        """Raise the EvalError of the first bad node in row-major order, if any."""
+        """Raise the EvalError of the first bad node in row-major order, if any.
+
+        The error raised is a copy of the stored one (text, cause, pos and
+        __cause__): its traceback holds the caller's frames, which hold this
+        GridEval, so raising the stored error would close a reference cycle.
+        """
         if self.bad.any():
-            try:
-                raise self.first_errors[int(np.flatnonzero(self.bad)[0])]
-            finally:
-                # the error's traceback holds this frame: were self still in
-                # it, error, traceback and self would form a reference cycle
-                self = None
+            err = self.first_errors[int(np.flatnonzero(self.bad)[0])]
+            raise EvalError(*err.args) from err.__cause__
 
 
 def evaluate_grid(trees, u, v, kind: Kind) -> GridEval:

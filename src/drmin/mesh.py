@@ -54,6 +54,8 @@ class DomainGrid:
             raise ValueError("degenerate rectangle")
         if self.nu < 2 or self.nv < 2:
             raise ValueError("need at least 2 nodes per direction")
+        if self.nu * self.nv * 32 > np.iinfo(np.intp).max:  # the (nu, nv, 4) float64 nodes
+            raise ValueError(f"{self.nu}x{self.nv} nodes are more than an array can hold")
         if not (self.u_min <= self.u0 <= self.u_max and self.v_min <= self.v0 <= self.v_max):
             raise ValueError("base point outside the rectangle")
 

@@ -1,4 +1,8 @@
-"""Smoke tests: the scripts under scripts/ run against the library."""
+"""The benchmark under perfbench/ runs against the library.
+
+One block of each workload runs with its output checks, and short runs of
+perfbench/run.py carry every metric BENCHMARK.json names.
+"""
 
 import importlib
 import json
@@ -12,57 +16,6 @@ import pytest
 from drmin.presets import PRESETS
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-
-
-def test_run_presets():
-    proc = run_script("run_presets.py", "--grid", "17x17")
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
-    assert sorted(row.split()[0] for row in rows) == sorted(PRESETS)
-
-
-def test_run_presets_lists_failed_checks():
-    # verify's fixed 1e-2 bound is below the finite-difference defect at h = 0.1
-    proc = run_script("run_presets.py", "--grid", "11x11")
-    assert proc.returncode == 1
-    assert proc.stderr == ""
-    lines = proc.stdout.splitlines()
-    assert sorted(row.split()[0] for row in lines[2:2 + len(PRESETS)]) == sorted(PRESETS)
-    assert "s41-timelike-basic: conformality defect 1.833e-02 exceeds 1.0e-02" in lines
-    assert all(line.split(":")[0] in PRESETS for line in lines[2 + len(PRESETS):])
-
-
-def test_convergence_study():
-    proc = run_script("convergence_study.py", "--grids", "9,17,33")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    assert [row[0] for row in rows] == ["9", "17", "33"]
-    # orders of the closed-form error (RK4) and the tension defect
-    assert 3.5 <= float(rows[-1][2]) <= 4.5
-    assert 1.5 <= float(rows[-1][4]) <= 2.5
-
-
-@pytest.mark.parametrize("name, option, text", [
-    ("run_presets.py", "--grid", "9"),
-    ("run_presets.py", "--grid", "2x9"),
-    ("convergence_study.py", "--grids", "9,9"),  # a log in base 1
-    ("convergence_study.py", "--grids", "17,9x"),
-])
-def test_bad_resolution_is_a_usage_error(name, option, text):
-    proc = run_script(name, option, text)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("usage: ") and "Traceback" not in proc.stderr
-    assert f"argument {option}: expected " in proc.stderr and repr(text) in proc.stderr
 
 
 @pytest.mark.parametrize("workload", ["pipeline-21", "screen-17", "refine-ladder"])

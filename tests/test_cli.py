@@ -13,6 +13,7 @@ from drmin.cli import (
     load_config,
     main,
 )
+from drmin.presets import PRESETS
 
 SMALL = "9x9"
 
@@ -100,11 +101,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="S41 or S43"):
             load_config(path)
 
+    def test_tolerance_override_changes_the_verdict(self, tmp_path, monkeypatch, capsys):
+        # the harmonicity sup-norm 5.551e-17 passes the default 1e-10
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text(GOOD_INI + "\n[tolerances]\nharmonicity = 1e-20\n")
+        assert main(["validate", "--config", "run.ini"]) == EXIT_MATH_FAILURE
+        assert "    - harmonicity sup-norm 5.551e-17 exceeds 1.0e-20\n" in capsys.readouterr().out
+
+    def test_origin_is_the_default_f0(self, tmp_path, monkeypatch):
+        # without [initial], the base node (1.0, 0.0) of the mesh holds the origin
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text(GOOD_INI.split("[initial]")[0])
+        assert main(["synthesize", "--config", "run.ini", "--out", "mesh.csv"]) == EXIT_PASS
+        assert "1.0,0.0,0.0,0.0,0.0,0.0" in (tmp_path / "mesh.csv").read_text().splitlines()
+
     def test_preset_lookup(self):
         cfg = config_from_preset("s41-timelike-basic")
         assert cfg.reference_texts is not None
         with pytest.raises(ConfigError, match="unknown preset"):
             config_from_preset("does-not-exist")
+
+
+class TestPresetPipeline:
+    @pytest.mark.parametrize("grid", ["11x11", "17x17"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_validate_synthesize_verify(self, tmp_path, monkeypatch, capsys, name, grid):
+        # verify's fixed 1e-2 bounds sit below the O(h^2) finite-difference
+        # defect at h = 0.1 on three presets; at 17x17 every preset passes
+        monkeypatch.chdir(tmp_path)
+        preset = ["--preset", name, "--grid", grid]
+        codes = [main(["validate", *preset]), main(["synthesize", *preset, "--out", "mesh.csv"]),
+                 main(["verify", "mesh.csv", *preset])]
+        captured = capsys.readouterr()
+        fails = grid == "11x11" and name != "s43-timelike-vertical"
+        assert codes == [EXIT_PASS, EXIT_PASS, EXIT_MATH_FAILURE if fails else EXIT_PASS]
+        reasons = [line for line in captured.out.splitlines() if line.startswith("    - ")]
+        assert reasons == fails * ["    - conformality defect 1.833e-02 exceeds 1.0e-02",
+                                   "    - conformal density mismatch 1.833e-02 exceeds 1.0e-02"]
+        assert captured.err == ""
 
 
 class TestExamples:
@@ -492,6 +526,38 @@ CONTRACT = [
                     else l for l in lines], VERIFY,
      EXIT_INPUT_ERROR,
      "input error: cannot read mesh file: span v_max - v_min must be finite, got inf"),
+    # node counts whose (nu, nv, 4) float64 array no numpy array can hold
+    *((f"grid-spec-{spec}", GOOD_INI, None, VALIDATE + ["--grid", spec], EXIT_INPUT_ERROR,
+       f"input error: bad --grid spec '{spec}': {spec} nodes are more than an array can hold")
+      for spec in ["99999999999999999999x2", "1152921504606846976x2", "9223372036854775807x2"]),
+    ("grid-spec-one-node", GOOD_INI, None, VALIDATE + ["--grid", "1x5"], EXIT_INPUT_ERROR,
+     "input error: bad --grid spec '1x5': need at least 2 nodes per direction"),
+    ("nu-beyond-arrays", _ini(("nu = 9", "nu = 99999999999999999999")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "input error: bad domain: 99999999999999999999x9 nodes are more than"),
+    *((f"{argv[0]}-grid-header-beyond-arrays", GOOD_INI,
+       lambda lines: [l.replace(" 9 9 ", " 99999999999999999999 9 ") for l in lines], argv,
+       EXIT_INPUT_ERROR, "input error: cannot read mesh file: 99999999999999999999x9 nodes")
+      for argv in [VERIFY, ["export", "bad.csv", "--out", "s.obj"]]),
+    # the config branches: each missing or malformed entry is named
+    ("missing-section", _ini(("[algebra]\nkind = para\n", "")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "input error: missing config section [algebra]"),
+    ("missing-float-key", _ini(("u_min = 1.0\n", "")), None, VALIDATE, EXIT_INPUT_ERROR,
+     "input error: missing key 'u_min' in [domain]"),
+    ("missing-integer-key", _ini(("nu = 9\n", "")), None, VALIDATE, EXIT_INPUT_ERROR,
+     "input error: missing key 'nu' in [domain]"),
+    ("float-not-a-number", _ini(("u_min = 1.0", "u_min = one")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "input error: key 'u_min' in [domain] is not a number"),
+    ("integer-not-an-integer", _ini(("nu = 9", "nu = 9.5")), None, VALIDATE, EXIT_INPUT_ERROR,
+     "input error: key 'nu' in [domain] is not an integer"),
+    ("bad-algebra-kind", _ini(("kind = para", "kind = quaternion")), None, VALIDATE,
+     EXIT_INPUT_ERROR, "input error: algebra kind must be complex or para, got 'quaternion'"),
+    ("psi-incomplete", _ini(("psi2 = 0\n", "")), None, VALIDATE, EXIT_INPUT_ERROR,
+     "input error: section [psi] must define psi1..psi4"),
+    ("neither-config-nor-preset", GOOD_INI, None, ["validate"], EXIT_INPUT_ERROR,
+     "input error: either --config or --preset is required"),
+    ("projection-two-axes", GOOD_INI, None,
+     ["export", "mesh.csv", "--projection", "x,y", "--out", "s.obj"], EXIT_INPUT_ERROR,
+     "input error: bad projection 'x,y': need 3 of x,y,z,t"),
 ]
 
 

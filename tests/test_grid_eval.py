@@ -15,6 +15,7 @@ object in two places (``oracles.unshared``): the sharing may save work
 but must not change a mask, a message or a bit of a value.
 """
 
+import dataclasses
 import gc
 import math
 import random
@@ -44,7 +45,7 @@ from drmin.expr import (
     wirtinger_bar,
 )
 from drmin.mesh import DomainGrid
-from drmin.presets import PRESETS
+from drmin.presets import PRESETS, reference_error
 from drmin.spaces import SpaceKind, SpaceModel
 from drmin.synthesis import path_independence, synthesize
 from drmin.verify import verify_mesh
@@ -410,6 +411,10 @@ class TestSettleOncePerOperand:
 def test_failed_nodes_leave_no_reference_cycles():
     # a stored error that kept its traceback would hold the evaluator and
     # every array of the evaluation until the cyclic collector ran
+    p = PRESETS["s41-timelike-basic"]
+    mesh = synthesize(p.model(), p.weierstrass(), p.grid.with_resolution(9, 9), p.f0)
+    w = WeierstrassData.from_strings([p.psi_texts[0] + " + ln(tau)", *p.psi_texts[1:]], p.algebra)
+    ln_reference = dataclasses.replace(p, reference_texts=("ln(tau)",) * 4)
     gc.collect()
     gc.disable()
     try:
@@ -422,9 +427,21 @@ def test_failed_nodes_leave_no_reference_cycles():
         ev = evaluate_grid([parse("ln(tau)", Kind.PARA)],
                            EDGE_GRID.u_nodes[:, None], EDGE_GRID.v_nodes[None, :], Kind.PARA)
         assert ev.bad.all() and len({id(exc) for exc in ev.first_errors.values()}) == 1
-        with pytest.raises(EvalError, match="ln failed"):
+        with pytest.raises(EvalError, match="ln failed") as info:
             ev.raise_first()
-        del ev
+        # a copy: the raised error's traceback holds the caller's frames
+        stored, raised = ev.first_errors[0], info.value
+        assert raised is not stored
+        assert (str(raised), raised.cause, raised.pos, raised.__cause__) == (
+            str(stored), stored.cause, stored.pos, stored.__cause__)
+        del ev, info, stored, raised
+        assert gc.collect() == 0
+        # nor do the callers that let raise_first's error propagate
+        with pytest.raises(EvalError, match="ln failed"):
+            verify_mesh(p.model(), mesh, w)
+        assert gc.collect() == 0
+        with pytest.raises(EvalError, match="ln failed"):
+            reference_error(ln_reference, mesh)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -4,9 +4,9 @@ A public module-level function or class in ``src/drmin`` counts as used
 when its name appears (as a name, an import alias, or an attribute read
 off drmin or one of its modules, such as ``expr.parse`` or
 ``drmin.expr.parse``) in another used public def of the package, in the
-package's other code, or in ``scripts/`` or ``perfbench/``.  Defs used by
-nothing else are dropped until none is left to drop; what remains unused
-belongs in ``tests/oracles.py``, not in the package.
+package's other code, or in ``perfbench/``.  Defs used by nothing else
+are dropped until none is left to drop; what remains unused belongs in
+``tests/oracles.py``, not in the package.
 
 verify is the independent check of the pipeline, so the modules it
 imports, directly or through one another, define none of the routes it
@@ -74,9 +74,8 @@ def unused_public_defs() -> list[str]:
                 defs[node.name] = _appearances(node) - {node.name}
             else:
                 used |= _appearances(node)
-    for pattern in ("scripts/*.py", "perfbench/*.py"):
-        for path in sorted(ROOT.glob(pattern)):
-            used |= _appearances(ast.parse(path.read_text()))
+    for path in sorted(ROOT.glob("perfbench/*.py")):
+        used |= _appearances(ast.parse(path.read_text()))
     live = set(defs)
     while True:
         reached = used | _exported() | ENTRY_POINTS
