@@ -141,7 +141,7 @@ def _resolve_config(args) -> RunConfig:
         cfg = load_config(args.config)
     else:
         raise ConfigError("either --config or --preset is required")
-    if args.grid:
+    if getattr(args, "grid", None):  # verify takes its grid from the mesh file
         try:
             nu, nv = map(int, args.grid.lower().split("x"))
         except ValueError as exc:
@@ -275,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_args(p):
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--preset", help="name of a built-in dataset (see 'examples')")
-        p.add_argument("--grid", help="override grid resolution, e.g. 101x101")
 
     p = sub.add_parser("validate", help="run the pointwise validity checks")
     add_config_args(p)
+    p.add_argument("--grid", help="override grid resolution, e.g. 101x101")
 
     p = sub.add_parser("synthesize", help="integrate the data into a surface mesh")
     add_config_args(p)
+    p.add_argument("--grid", help="override grid resolution, e.g. 101x101")
     p.add_argument("--force", action="store_true", help="synthesize even if validation fails")
     p.add_argument("--out", help="output mesh CSV path")
 

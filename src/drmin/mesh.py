@@ -134,18 +134,6 @@ def report_lines(title: str, rows: dict[str, str], failures: list[str]) -> list[
 MESH_CSV_COLUMNS = ("u", "v", "x", "y", "z", "t")
 
 
-def _bad_rows(rows):
-    """What is wrong with each (file line number, text) row np.loadtxt cannot read."""
-    for k, line in rows:
-        try:
-            width = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
-        except ValueError:
-            yield f"mesh line {k} has a cell that is not a number: {line!r}"
-            continue
-        if width != len(MESH_CSV_COLUMNS):
-            yield f"mesh line {k} needs {len(MESH_CSV_COLUMNS)} fields, got {width}: {line!r}"
-
-
 @dataclass
 class SurfaceMesh:
     grid: DomainGrid
@@ -197,47 +185,55 @@ class SurfaceMesh:
             # universal newlines leave only "\n"; splitlines would also break
             # at form feeds and the other Unicode line boundaries
             lines = fh.read().split("\n")
-
-        def metadata(part):
-            meta = {}
-            for line in part:
-                if not line.startswith("#"):
-                    continue
+        # one pass: a "#" in column 0 is metadata, a blank line is skipped, the first
+        # other line is the header (head and early: the keys and the first repeated
+        # key seen before it) and every later one a data row, kept by its line number
+        header, meta, rows = [""], {}, {}
+        head = early = repeat = None
+        for k, line in enumerate(lines, 1):
+            if line.startswith("#"):
                 key, _, val = (x.strip() for x in line[1:].partition(":"))
-                if key in meta:
-                    raise ValueError(f"mesh file repeats metadata key {key!r}")
-                meta[key] = val
-            return meta
-
-        def is_row(line):  # the header and the data rows
-            return line.strip() and not line.startswith("#")
-
-        start = next((k for k, line in enumerate(lines) if is_row(line)), len(lines))
-        header = lines[start].strip().split(",") if start < len(lines) else [""]
+                if key not in meta:
+                    meta[key] = val
+                elif repeat is None:
+                    repeat = f"mesh file repeats metadata key {key!r}"
+            elif not line or line.isspace():
+                continue
+            elif head is None:
+                header, head, early = line.strip().split(","), set(meta), repeat
+            else:
+                rows[k] = line
         if tuple(header) != MESH_CSV_COLUMNS:
             raise ValueError(f"unexpected mesh columns {header}")
-        head = metadata(lines[:start])  # the grid's metadata must come before the header
+        if early:
+            raise ValueError(early)
         for req in ("space", "c", "algebra", "grid"):
             if req not in head:
                 raise ValueError(f"mesh file missing '{req}' metadata")
-        gparts = head["grid"].split()
+        gparts = meta["grid"].split()
         if len(gparts) != 8:
             raise ValueError(f"grid metadata needs 8 fields, got {len(gparts)}")
         grid = DomainGrid(
             *map(float, gparts[:4]), *map(int, gparts[4:6]), *map(float, gparts[6:])
         )
+        if repeat:
+            raise ValueError(repeat)
         n = grid.nu * grid.nv
-        meta = metadata(lines)  # the header line is no metadata line
-        tail = lines[start + 1:]
-        rows = [line for line in tail if is_row(line)]
         try:
             # np.loadtxt warns on empty input
             data = np.empty((0, len(MESH_CSV_COLUMNS))) if not rows else np.loadtxt(
-                rows, delimiter=",", ndmin=2, max_rows=n + 1
+                rows.values(), delimiter=",", ndmin=2, max_rows=n + 1
             )
         except ValueError as exc:
-            numbered = ((k, line) for k, line in enumerate(tail, start + 2) if is_row(line))
-            raise ValueError(next(_bad_rows(numbered), str(exc))) from None
+            for k, line in rows.items():  # the first row np.loadtxt cannot read alone
+                try:
+                    width = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+                    fault = f"needs {len(MESH_CSV_COLUMNS)} fields, got {width}"
+                except ValueError:
+                    width, fault = None, "has a cell that is not a number"
+                if width != len(MESH_CSV_COLUMNS):
+                    raise ValueError(f"mesh line {k} {fault}: {line!r}") from None
+            raise ValueError(str(exc)) from None
         if len(data) > n:
             raise ValueError("mesh file has more rows than the grid admits")
         if len(data) < n:

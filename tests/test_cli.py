@@ -91,8 +91,9 @@ class TestConfig:
 
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text(GOOD_INI.replace("[psi]", "[psi_oops]"))
-        with pytest.raises(ConfigError):
+        path.write_text(_ini(("[psi]\npsi1 = tau/u\npsi2 = 0\npsi3 = 0\npsi4 = 1/u\n", "")))
+        assert "psi" not in path.read_text()
+        with pytest.raises(ConfigError, match=r"^missing config section \[psi\]$"):
             load_config(path)
 
     def test_bad_space_rejected(self, tmp_path):
@@ -131,7 +132,7 @@ class TestPresetPipeline:
         monkeypatch.chdir(tmp_path)
         preset = ["--preset", name, "--grid", grid]
         codes = [main(["validate", *preset]), main(["synthesize", *preset, "--out", "mesh.csv"]),
-                 main(["verify", "mesh.csv", *preset])]
+                 main(["verify", "mesh.csv", "--preset", name])]
         captured = capsys.readouterr()
         fails = grid == "11x11" and name != "s43-timelike-vertical"
         assert codes == [EXIT_PASS, EXIT_PASS, EXIT_MATH_FAILURE if fails else EXIT_PASS]
@@ -385,6 +386,23 @@ class TestVerify:
         assert "# psi1: tau/u + 0\n" in mesh.read_text()
         assert main(["verify", str(mesh), "--config", str(path)]) == EXIT_PASS
 
+    def test_grid_option_refused(self, capsys):
+        # the grid comes from the mesh header: verify has no --grid to ignore
+        argv = ["verify", "m.csv", "--preset", "s41-timelike-basic", "--grid", "3x3"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --grid 3x3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, has_grid",
+                             [("validate", True), ("synthesize", True), ("verify", False)])
+    def test_help_lists_grid(self, capsys, command, has_grid):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--preset" in out and ("--grid" in out) == has_grid
+
     def test_missing_mesh_exit_two(self, good_config, capsys):
         code = main(["verify", "/nonexistent.csv", "--config", str(good_config)])
         assert code == EXIT_INPUT_ERROR
@@ -612,7 +630,7 @@ class TestParserReuse:
         preset = ["--preset", "s41-timelike-basic"]
         assert main(["synthesize", *preset, "--grid", "25x25", "--out", "mesh.csv"]) == EXIT_PASS
         capsys.readouterr()
-        calls = [["validate", *preset, "--grid", SMALL], ["verify", "mesh.csv", "--grid"],
+        calls = [["validate", *preset, "--grid", SMALL], ["verify", "mesh.csv", "--preset"],
                  ["verify", "mesh.csv", *preset]]
 
         def run(argv):

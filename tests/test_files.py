@@ -236,7 +236,7 @@ def flow(tmp_path, monkeypatch):
     for argv in (
         ["validate", "--preset", name, "--grid", "9x9"],
         ["synthesize", "--preset", name, "--grid", "9x9", "--out", "mesh.csv"],
-        ["verify", "mesh.csv", "--preset", name, "--grid", "9x9"],
+        ["verify", "mesh.csv", "--preset", name],
         ["export", "mesh.csv", "--format", "obj", "--projection", "x,y,t", "--out", "surface.obj"],
         ["export", "mesh.csv", "--format", "csv", "--out", "copy.csv"],
     ):
@@ -363,7 +363,14 @@ class TestMeshNodeMargin:
 
 
 class TestMeshFileFaults:
-    """from_csv refuses repeated metadata and names the file line of a malformed row."""
+    """from_csv refuses repeated metadata and names the file line of a malformed row.
+
+    LINE_RULES pins how each line of a file is read.  A `#` in column 0 is a
+    metadata line; a blank or whitespace-only line is skipped; the first other
+    line is the header; every later one is a data row, comments and all, for
+    np.loadtxt to read.  An outcome is the exact refusal, or the provenance of
+    a file that loads.
+    """
 
     GRID = DomainGrid(0.0, 1.0, 0.0, 1.0, 5, 3, 0.0, 0.0)
 
@@ -409,3 +416,42 @@ class TestMeshFileFaults:
         with pytest.raises(ValueError) as info:
             self.load(tmp_path, lines)
         assert str(info.value) == f"mesh line {k + 1} {named}: {row!r}"
+
+    # to_csv's file: lines 1-4 are metadata (space, c, algebra, grid), line 5
+    # the header, lines 6-20 the rows, and the text ends in a newline
+    LINE_RULES = [
+        ("indented-comment-row", lambda L: [*L[:7], "  # note", *L[7:]],
+         "mesh line 8 has a cell that is not a number: '  # note'"),
+        ("trailing-comment", lambda L: [*L[:6], L[6] + " # note", *L[7:]], {}),
+        ("whitespace-line", lambda L: [*L[:7], " \t ", *L[7:]], {}),
+        ("note-between-rows", lambda L: [*L[:7], "# note: hi", *L[7:]], {"note": "hi"}),
+        ("note-after-rows", lambda L: [*L, "# note: hi"], {"note": "hi"}),
+        ("bare-hash", lambda L: [*L[:7], "#", *L[7:]], {"": ""}),
+        ("grid-after-header", lambda L: [*L[:3], L[4], L[3], *L[5:]],
+         "mesh file missing 'grid' metadata"),
+        ("empty", lambda L: [""], "unexpected mesh columns ['']"),
+        ("comments-only", lambda L: [*L[:2], ""], "unexpected mesh columns ['']"),
+        ("no-rows", lambda L: L[:5], "mesh file truncated: expected 15 rows, got 0"),
+        ("bad-header-and-repeat", lambda L: [*L[:2], "# c: 3.0", *L[2:4], "u,v,x,y,z", *L[5:]],
+         "unexpected mesh columns ['u', 'v', 'x', 'y', 'z']"),
+        ("short-grid-and-repeat-after-rows",
+         lambda L: [*L[:3], "# grid: 1 2", *L[4:], "# c: 2.0"],
+         "grid metadata needs 8 fields, got 2"),
+        ("missing-key-and-repeat-after-rows", lambda L: [*L[1:], "# c: 2.0"],
+         "mesh file missing 'space' metadata"),
+        ("repeat-before-header-and-missing-key", lambda L: [*L[:2], "# c: 3.0", *L[3:]],
+         "mesh file repeats metadata key 'c'"),
+    ]
+
+    @pytest.mark.parametrize("edit, outcome", [row[1:] for row in LINE_RULES],
+                             ids=[row[0] for row in LINE_RULES])
+    def test_line_rules(self, tmp_path, edit, outcome):
+        lines = edit(self.lines(tmp_path))
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as info:
+                self.load(tmp_path, lines)
+            assert str(info.value) == outcome
+        else:
+            mesh = self.load(tmp_path, lines)
+            assert mesh.nodes.tobytes() == np.zeros((5, 3, 4)).tobytes()
+            assert mesh.provenance == outcome
