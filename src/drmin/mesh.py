@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Kind
+from .spaces import SpaceKind
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -73,12 +74,6 @@ class DomainGrid:
         i0 = int(np.argmin(np.abs(self.u_nodes - self.u0)))
         j0 = int(np.argmin(np.abs(self.v_nodes - self.v0)))
         return i0, j0
-
-    @property
-    def base_point(self) -> tuple[float, float]:
-        """The snapped base point (a grid node)."""
-        i0, j0 = self.base_index
-        return float(self.u_nodes[i0]), float(self.v_nodes[j0])
 
     def with_resolution(self, nu: int, nv: int) -> "DomainGrid":
         return DomainGrid(self.u_min, self.u_max, self.v_min, self.v_max, nu, nv, self.u0, self.v0)
@@ -243,13 +238,23 @@ class SurfaceMesh:
                 f"mesh rows need {len(MESH_CSV_COLUMNS)} fields, got {data.shape[1]}"
             )
         nodes = np.ascontiguousarray(data[:, 2:]).reshape(grid.nu, grid.nv, 4)
-        kind = Kind(meta["algebra"])
+        for key, enum in (("space", SpaceKind), ("algebra", Kind)):
+            names = [member.value for member in enum]
+            if meta[key] not in names:
+                raise ValueError(f"mesh '{key}' metadata must be {' or '.join(names)},"
+                                 f" got {meta[key]!r}")
+        try:
+            c = float(meta["c"])
+        except ValueError:
+            raise ValueError(f"mesh 'c' metadata is not a number: {meta['c']!r}") from None
+        if not math.isfinite(c):
+            raise ValueError(f"mesh 'c' metadata must be finite, got {c!r}")
         provenance = {
             k: v for k, v in meta.items() if k not in ("space", "c", "algebra", "grid")
         }
         mesh = cls(
-            grid=grid, nodes=nodes, kind=kind, space=meta["space"],
-            c=float(meta["c"]), provenance=provenance,
+            grid=grid, nodes=nodes, kind=Kind(meta["algebra"]), space=meta["space"],
+            c=c, provenance=provenance,
         )
         uv = data[:, :2].reshape(grid.nu, grid.nv, 2)
         want = np.stack(np.meshgrid(grid.u_nodes, grid.v_nodes, indexing="ij"), axis=-1)

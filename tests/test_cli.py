@@ -141,6 +141,23 @@ class TestPresetPipeline:
                                    "    - conformal density mismatch 1.833e-02 exceeds 1.0e-02"]
         assert captured.err == ""
 
+    @pytest.mark.parametrize("grid, skipped", [("20x20", True), ("21x20", True), ("20x21", False)])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_closed_form_error_only_from_its_base_point(self, tmp_path, monkeypatch, capsys,
+                                                        name, grid, skipped):
+        # at an even nv, v0 = 0 is not a node: the march starts f0 at a snapped node,
+        # so the closed forms through f0 at (1, 0) describe another surface
+        monkeypatch.chdir(tmp_path)
+        assert main(["synthesize", "--preset", name, "--grid", grid]) == EXIT_PASS
+        last = capsys.readouterr().out.splitlines()[-1]
+        if skipped:
+            assert last == ("closed-form comparison skipped: the march starts at the node "
+                            "(1.0, 0.05263157894736836), not at the closed forms' base point "
+                            "(1.0, 0.0)")
+        else:
+            assert last.startswith("closed-form max coordinate error: ")
+            assert float(last.rsplit(" ", 1)[1]) <= 1e-7
+
 
 class TestExamples:
     def test_lists_all_presets(self, capsys):
@@ -555,6 +572,17 @@ CONTRACT = [
     *((f"{argv[0]}-grid-header-beyond-arrays", GOOD_INI,
        lambda lines: [l.replace(" 9 9 ", " 99999999999999999999 9 ") for l in lines], argv,
        EXIT_INPUT_ERROR, "input error: cannot read mesh file: 99999999999999999999x9 nodes")
+      for argv in [VERIFY, ["export", "bad.csv", "--out", "s.obj"]]),
+    # a mesh header value the reader refuses, named by its key, in export and verify alike
+    *((f"{argv[0]}-header-{key}-{text}", GOOD_INI,
+       lambda lines, key=key, text=text: [f"# {key}: {text}" if l.startswith(f"# {key}:") else l
+                                          for l in lines], argv,
+       EXIT_INPUT_ERROR, f"input error: cannot read mesh file: mesh '{key}' metadata {named}")
+      for key, text, named in [("space", "S99", "must be S41 or S43, got 'S99'"),
+                               ("algebra", "quaternion",
+                                "must be complex or para, got 'quaternion'"),
+                               ("c", "one", "is not a number: 'one'"),
+                               ("c", "nan", "must be finite, got nan")]
       for argv in [VERIFY, ["export", "bad.csv", "--out", "s.obj"]]),
     # the config branches: each missing or malformed entry is named
     ("missing-section", _ini(("[algebra]\nkind = para\n", "")), None, VALIDATE,

@@ -501,17 +501,35 @@ class TestMeshCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _axis_closed_form(f0, c, u0, v0, u, v):
+    return (f0.x + 2 * (v - v0) / u0, f0.y, f0.z - c * f0.y * (v - v0) / u0,
+            f0.t + 2 * math.log(u / u0))
+
+
+# the formulas of the preset comments, in f0, c and the base point (u0, v0), at (u, v)
+CLOSED_FORMS = {
+    "s41-timelike-basic": _axis_closed_form,
+    "s41-timelike-diagonal": lambda f0, c, u0, v0, u, v: (
+        f0.x + math.sqrt(2) * (v - v0) / u0, f0.y + math.sqrt(2) * (v - v0) / u0, f0.z,
+        f0.t + 2 * math.log(u / u0)),
+    "s43-spacelike-basic": _axis_closed_form,
+    "s43-timelike-vertical": lambda f0, c, u0, v0, u, v: (
+        f0.x, f0.y, f0.z + (v - v0) / u0, f0.t + math.log(u / u0)),
+}
+
+
 class TestReferenceFields:
-    def test_axis_closed_form_values(self):
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_closed_form_values(self, name):
         from drmin.expr import evaluate
 
-        p = PRESETS["s41-timelike-basic"]
-        u0, v0 = p.grid.base_point
+        p = PRESETS[name]
+        g = p.grid
+        i0, j0 = g.base_index
         refs = reference_fields(p)
-        at_base = [evaluate(r, u0, v0, p.algebra).re for r in refs]
-        assert np.allclose(at_base, p.f0.as_array())
-        # x = x0 + 2(v - v0)/u0, t = t0 + 2 ln(u/u0)
-        assert evaluate(refs[0], 2.0, 0.5, p.algebra).re == pytest.approx(2 * 0.5 / u0)
-        assert evaluate(refs[3], 2.0, 0.5, p.algebra).re == pytest.approx(
-            2 * math.log(2.0 / u0)
+        at_base = [evaluate(r, g.u_nodes[i0], g.v_nodes[j0], p.algebra).re for r in refs]
+        assert at_base == p.f0.as_array().tolist()
+        formula = CLOSED_FORMS[name](p.f0, p.c, g.u0, g.v0, 2.0, 0.5)
+        assert [evaluate(r, 2.0, 0.5, p.algebra).re for r in refs] == pytest.approx(
+            formula, rel=1e-15, abs=1e-15
         )

@@ -68,8 +68,8 @@ class TestGrid:
 
     def test_base_point_snaps_to_node(self):
         g = DomainGrid(1, 2, -1, 1, 11, 21, 1.33, 0.05)
-        u0, v0 = g.base_point
-        assert u0 in g.u_nodes and v0 in g.v_nodes
+        i0, j0 = g.base_index
+        u0, v0 = g.u_nodes[i0], g.v_nodes[j0]
         assert abs(u0 - 1.33) <= 0.05 + 1e-12
         assert abs(v0 - 0.05) <= 0.05 + 1e-12
 
